@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Sequence
 
-from .hashing import stable_hash64
 from .text import tokenize_any_text
 
 _WS_RE = re.compile(r"\s+")
@@ -109,7 +108,3 @@ def bpe_ish_token_count(text: str) -> int:
             total += 1
     return total
 
-
-def doc_fingerprint_key(text: str) -> int:
-    """Cheap exact-dedup key: 64-bit stable hash of the raw text."""
-    return stable_hash64(text)

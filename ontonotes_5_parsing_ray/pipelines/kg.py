@@ -3,7 +3,7 @@
 Ray-Data-first composition (SURVEY.md §3.4):
 
     read_parquet (pruned columns)
-      -> map_batches(AnnotateTurns)               [actor pool, Arrow batches]
+      -> map_batches(annotate_turns)              [fused tasks, Arrow batches]
       -> groupby(hash(conv) % P).map_groups      [stable turn order + coref]
       -> canonicalization (MinHash/LSH + min-label components)
       -> broadcast canon map -> rewrite triples   [map_batches]
@@ -16,7 +16,7 @@ Scale notes
   coref semantics. Everything upstream is embarrassingly block-parallel.
 * Canonicalization shuffles *distinct surfaces*, not mentions (map-side
   distinct first), then broadcasts the resulting map back (``ray.put`` once,
-  read per actor) — no second all-to-all over the mention table.
+  read per task) — no second all-to-all over the mention table.
 * Nothing materializes the full input; intermediates that are materialized
   (canon map, distinct surfaces) are O(|entity vocabulary|), not O(turns).
 """
@@ -34,9 +34,8 @@ import ray.data as rd
 
 from ..functions.canon import DEFAULT_THRESHOLD, canonical_entity_id
 from ..functions.kgrules import normalize_surface
-from ..stages.annotate import AnnotateTurns
+from ..stages.annotate import annotate_turns
 from ..stages.canonicalize import build_canon_map, canon_map_to_dict
-from ..stages.util import pool_size
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "ts"]
 REQUIRED_TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
@@ -120,13 +119,18 @@ def annotate(
     concurrency: Optional[int] = None,
     emit: str = "record",
 ) -> rd.Dataset:
+    """Annotate every turn with stateless tasks, one batch per block, so
+    Ray Data fuses them with the read and the per-batch maps after it (a
+    minimum batch size would stop the read fusing). ``concurrency`` caps the
+    parallel annotate tasks, which also keeps them out of the read's task;
+    ``None`` lets them use every CPU."""
     return ds.map_batches(
-        AnnotateTurns,
-        fn_constructor_kwargs={"emit": emit},
+        annotate_turns,
+        fn_kwargs={"emit": emit},
         batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_size(concurrency or 4),
+        batch_size=None,
         num_cpus=1,
+        concurrency=concurrency,
     )
 
 

@@ -81,6 +81,12 @@ def _write_stage(ds: rd.Dataset, stage_dir: str, stage: str) -> int:
     if os.path.isdir(stage_dir):
         shutil.rmtree(stage_dir)
     ds.write_parquet(tmp)
+    if not os.path.isdir(tmp):
+        # an empty Dataset writes no files: leave one schema-typed empty
+        # file so the stage reads back (and resumes) like any other
+        os.makedirs(tmp)
+        pq.write_table(ds.schema().base_schema.empty_table(),
+                       os.path.join(tmp, "empty.parquet"))
     os.replace(tmp, stage_dir)
     rows = rd.read_parquet(stage_dir).count()
     write_lineage(os.path.dirname(stage_dir), 0, stage, rows,
@@ -215,15 +221,7 @@ def materialize_kg(
         canon_map = build_canon_map(
             surfaces_for_canon(mentions, triples), threshold=canon_threshold
         )
-        tmp = canon_dir + ".tmp"
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
-        if os.path.isdir(canon_dir):
-            shutil.rmtree(canon_dir)
-        canon_map.write_parquet(tmp)
-        os.replace(tmp, canon_dir)
-        write_lineage(canon_parent, 0, "canonmap",
-                      rd.read_parquet(canon_dir).count())
+        _write_stage(canon_map, canon_dir, "canonmap")
     # ---- stage 3: graph tables (stage-resumable each) --------------------
     # Canon application auto-routes on map size (same policy as
     # run_kg_pipeline): broadcast dict at or below the limit, hash-

@@ -1,121 +1,91 @@
 """Per-turn annotation stage (the fused M1-M16 transform).
 
-``ray.data.Dataset.map_batches(AnnotateTurns, batch_format="pyarrow",
-concurrency=N)`` — an actor pool because the stage owns compiled regexes,
-lexicons and the alignment machinery (setup once per actor in ``__init__``,
-work per batch in ``__call__``), the slot where a real parser model would be
-hosted (SURVEY.md §2.2 M3, §7.2).
+``ray.data.Dataset.map_batches(annotate_turns, fn_kwargs={"emit": ...},
+batch_format="pyarrow")`` — a stateless per-batch function, so Ray Data
+fuses it with the read and the follow-on per-batch maps into one task per
+block and runs it on every CPU. Importing ``functions.*`` compiles the
+regexes and lexicons once per worker process; no state outlives a batch.
 
 Input batch:  ``conv_id, turn_idx, role, text`` (Arrow, zero-copy).
-Output batch: input columns + ``ok:bool, error:string, record_json:string``
-— semantic failures are data (the reference's ``(records, err_msg)``
-dead-letter channel, ``ontonotes5_to_json.py:80,106-107``), never exceptions,
-so one malformed turn cannot kill a block at 10^12-turn scale.
+Output batch: input columns + ``ok:bool, error:string, lang:string`` and
+``record_json`` and/or ``link_json`` (strings) per ``emit`` — semantic
+failures are data (the reference's ``(records, err_msg)`` dead-letter
+channel, ``ontonotes5_to_json.py:80,106-107``), never exceptions, so one
+malformed turn cannot kill a block at 10^12-turn scale.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import Dict, Tuple
 
 import pyarrow as pa
 
+from ..functions.analysis import detect_language
+from ..functions.kgrules import turn_link_payload
 from ..functions.record import annotate_turn_text, record_to_long_form
 
 
-class AnnotateTurns:
-    """Actor-pool callable: annotate each turn of an Arrow batch.
+def _link_payload_json(record) -> str:
+    """Compact mentions+verbs payload — the only bytes the conv_id shuffle
+    has to move (full records stay out of the all-to-all)."""
+    mentions, verbs = turn_link_payload(record)
+    return json.dumps(
+        [
+            [[m["start"], m["end"], m["surface"], m["entity_type"],
+              1 if m["is_pronoun"] else 0] for m in mentions],
+            [[s, e, lemma] for (s, e), lemma in verbs],
+        ],
+        ensure_ascii=False,
+    )
 
-    Per-actor memo: real transcript corpora repeat boilerplate turns
-    (greetings, tool preambles) heavily, so annotation results are cached by
-    ``(text, mode)`` — dedup-before-compute. The cache is bounded; eviction
-    is whole-flush (simple, and the hot set is tiny relative to the bound).
-    Cached or not, results are byte-identical to the oracle's.
+
+def _annotate(text: str, subwords: bool, emit: str) -> Tuple[str, str, str, str]:
+    """``(record_json, link_json, error, lang)`` for one turn."""
+    lang = detect_language(text)
+    record, e = annotate_turn_text(text, simulate_model_tokens=subwords)
+    if record is None:
+        return "", "", e, lang
+    rec_json = (json.dumps(record, ensure_ascii=False)
+                if emit != "link" else "")
+    link_json = _link_payload_json(record) if emit != "record" else ""
+    return rec_json, link_json, "", lang
+
+
+def annotate_turns(batch: pa.Table, emit: str = "record") -> pa.Table:
+    """Annotate each turn of an Arrow batch; tool turns take the subword
+    (fuzzy-alignment) path.
+
+    Real transcript corpora repeat boilerplate turns (greetings, tool
+    preambles) heavily, so each distinct ``(text, is_tool)`` in the batch is
+    annotated once — dedup-before-compute. The memo is local to this call,
+    so its size is bounded by the batch and nothing carries over between
+    batches or builds. Results are byte-identical to the oracle's.
     """
-
-    CACHE_LIMIT = 200_000
-
-    def __init__(
-        self,
-        simulate_model_tokens_for_tools: bool = True,
-        emit: str = "record",
-    ):
-        # Per-actor setup: importing functions.* compiles every regex and
-        # builds the gazetteer/lexicon tables once per worker process.
-        if emit not in ("record", "link", "both"):
-            raise ValueError(emit)
-        self.tool_subwords = simulate_model_tokens_for_tools
-        self.emit = emit
-        self._memo: dict = {}
-
-    @staticmethod
-    def _link_payload_json(record) -> str:
-        """Compact mentions+verbs payload — the only bytes the conv_id
-        shuffle has to move (full records stay out of the all-to-all)."""
-        from ..functions.kgrules import turn_link_payload
-
-        mentions, verbs = turn_link_payload(record)
-        return json.dumps(
-            [
-                [[m["start"], m["end"], m["surface"], m["entity_type"],
-                  1 if m["is_pronoun"] else 0] for m in mentions],
-                [[s, e, lemma] for (s, e), lemma in verbs],
-            ],
-            ensure_ascii=False,
-        )
-
-    def _annotate(self, text: str, subwords: bool):
-        from ..functions.analysis import detect_language
-
-        key = (text, subwords)
-        hit = self._memo.get(key)
+    if emit not in ("record", "link", "both"):
+        raise ValueError(emit)
+    memo: Dict[Tuple[str, bool], Tuple[str, str, str, str]] = {}
+    rows = []
+    for text, role in zip(batch.column("text").to_pylist(),
+                          batch.column("role").to_pylist()):
+        key = (text, role == "tool")
+        hit = memo.get(key)
         if hit is None:
-            lang = detect_language(text)
-            record, e = annotate_turn_text(text, simulate_model_tokens=subwords)
-            if record is None:
-                hit = ("", "", e, lang)
-            else:
-                rec_json = (
-                    json.dumps(record, ensure_ascii=False)
-                    if self.emit in ("record", "both") else ""
-                )
-                link_json = (
-                    self._link_payload_json(record)
-                    if self.emit in ("link", "both") else ""
-                )
-                hit = (rec_json, link_json, "", lang)
-            if len(self._memo) >= self.CACHE_LIMIT:
-                self._memo.clear()
-            self._memo[key] = hit
-        return hit
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        roles = batch.column("role").to_pylist()
-        ok: List[bool] = []
-        err: List[str] = []
-        rec_json: List[str] = []
-        link_json: List[str] = []
-        langs: List[str] = []
-        for text, role in zip(texts, roles):
-            rec, link, e, lang = self._annotate(
-                text, self.tool_subwords and role == "tool")
-            ok.append(e == "")
-            err.append(e)
-            rec_json.append(rec)
-            link_json.append(link)
-            langs.append(lang)
-        out = (
-            batch
-            .append_column("ok", pa.array(ok, pa.bool_()))
-            .append_column("error", pa.array(err, pa.string()))
-            .append_column("lang", pa.array(langs, pa.string()))
-        )
-        if self.emit in ("record", "both"):
-            out = out.append_column("record_json", pa.array(rec_json, pa.string()))
-        if self.emit in ("link", "both"):
-            out = out.append_column("link_json", pa.array(link_json, pa.string()))
-        return out
+            hit = memo[key] = _annotate(text, key[1], emit)
+        rows.append(hit)
+    rec_json, link_json, err, langs = (
+        [r[i] for r in rows] for i in range(4))
+    out = (
+        batch
+        .append_column("ok", pa.array([e == "" for e in err], pa.bool_()))
+        .append_column("error", pa.array(err, pa.string()))
+        .append_column("lang", pa.array(langs, pa.string()))
+    )
+    if emit != "link":
+        out = out.append_column("record_json", pa.array(rec_json, pa.string()))
+    if emit != "record":
+        out = out.append_column("link_json", pa.array(link_json, pa.string()))
+    return out
 
 
 def annotations_long_form(batch: pa.Table) -> pa.Table:

@@ -72,26 +72,21 @@ def _label_to_norm(label: str) -> str:
     return label.split("\x01", 1)[1]
 
 
-class BandKeys:
-    """Actor-pool stage: surface -> LSH band-key rows (signature computed
-    once per surface; hasher built once per actor)."""
-
-    def __init__(self, num_perm: int = DEFAULT_NUM_PERM, bands: int = DEFAULT_BANDS):
-        self.hasher = MinHasher(num_perm)
-        self.bands = bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        norms = batch.column("norm").to_pylist()
-        out_norm, out_band = [], []
-        for norm in norms:
-            sig = self.hasher.signature(char_shingles(norm, SHINGLE_K))
-            for key in self.hasher.band_keys(sig, self.bands):
-                out_norm.append(norm)
-                out_band.append(key)
-        return pa.table({
-            "band_key": pa.array(out_band, pa.string()),
-            "norm": pa.array(out_norm, pa.string()),
-        })
+def band_keys(batch: pa.Table, num_perm: int = DEFAULT_NUM_PERM,
+              bands: int = DEFAULT_BANDS) -> pa.Table:
+    """Surface -> LSH band-key rows (signature computed once per surface).
+    Stateless per batch: the fixed-seed hasher is cheap to rebuild."""
+    hasher = MinHasher(num_perm)
+    out_norm, out_band = [], []
+    for norm in batch.column("norm").to_pylist():
+        sig = hasher.signature(char_shingles(norm, SHINGLE_K))
+        for key in hasher.band_keys(sig, bands):
+            out_norm.append(norm)
+            out_band.append(key)
+    return pa.table({
+        "band_key": pa.array(out_band, pa.string()),
+        "norm": pa.array(out_norm, pa.string()),
+    })
 
 
 # Bounded shuffle width for the star-contraction rounds: directed edge rows
@@ -202,17 +197,6 @@ def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
     )
 
 
-def _block_pairs(group: pd.DataFrame, threshold: float) -> pd.DataFrame:
-    uniq = sorted(set(group["norm"]))
-    a_out, b_out = [], []
-    for i in range(len(uniq)):
-        for j in range(i + 1, len(uniq)):
-            if verify_pair(uniq[i], uniq[j], threshold):
-                a_out.append(uniq[i])
-                b_out.append(uniq[j])
-    return pd.DataFrame({"a": a_out, "b": b_out})
-
-
 def _block_pairs_partition(group: pd.DataFrame, threshold: float) -> pa.Table:
     """Verified pairs for ONE hash(band) partition: band blocks are
     enumerated inside the partition (P bounded pandas groups for the whole
@@ -279,12 +263,8 @@ def build_canon_map(
         batch_format="pyarrow",
     ).materialize()
 
-    from .util import pool_size
-
-    banded = uniq.map_batches(
-        BandKeys, batch_format="pyarrow", concurrency=pool_size(2),
-        batch_size=4096,
-    )
+    banded = uniq.map_batches(band_keys, batch_format="pyarrow",
+                              batch_size=4096)
 
     def add_band_part(t: pa.Table) -> pa.Table:
         parts = partition_vec(

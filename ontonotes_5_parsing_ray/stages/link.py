@@ -64,14 +64,7 @@ def _conv_rows(group: pd.DataFrame) -> List[dict]:
     ):
         if not ok:
             continue
-        raw_mentions, raw_verbs = json.loads(payload)
-        mentions = [
-            {"start": s, "end": e, "surface": surf, "entity_type": et,
-             "is_pronoun": bool(pron)}
-            for s, e, surf, et, pron in raw_mentions
-        ]
-        verbs = [((s, e), lemma) for s, e, lemma in raw_verbs]
-        turns.append((int(turn_idx), mentions, verbs))
+        turns.append((int(turn_idx), *_parse_payload(payload)))
     mention_rows, triple_rows = link_conversation(turns)
     rows: List[dict] = []
     for turn_idx, ok, err in zip(group["turn_idx"], group["ok"], group["error"]):

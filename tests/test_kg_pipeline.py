@@ -290,3 +290,45 @@ def test_node_edge_combine_routes_equal(ray_session, tiny_transcripts):
                               driver_combine_limit=0).to_pandas())
     pd.testing.assert_frame_equal(n_drv, n_dist)
     assert len(e_drv) > 0 and len(n_drv) > 0
+
+
+def test_annotate_is_fused_into_the_read(ray_session, tiny_transcripts, tmp_path):
+    """annotate runs as stateless tasks fused with the read (no actor pool),
+    and its per-batch memo is invisible: a turn repeated inside a batch and
+    across batches gets the same columns as annotating it alone."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ontonotes_5_parsing_ray.functions.record import annotate_turn_text
+    from ontonotes_5_parsing_ray.pipelines.kg import annotate, read_transcripts
+
+    stats = annotate(read_transcripts(tiny_transcripts),
+                     emit="link").materialize().stats()
+    ops = [line for line in stats.splitlines() if line.startswith("Operator ")]
+    assert len(ops) == 1, stats
+    assert "ReadParquet->MapBatches(annotate_turns)" in ops[0], stats
+
+    from ontonotes_5_parsing_ray.stages.annotate import _link_payload_json
+
+    repeated = "Alice met Bob in Paris."
+    texts = [repeated, repeated, "", "", repeated,
+             "Carol visited Berlin.", repeated]
+    roles = ["user", "tool", "user", "tool", "assistant", "user", "tool"]
+    for f in range(3):  # one file per read task -> one batch each
+        pq.write_table(pa.table({
+            "conv_id": [f"c{f}"] * len(texts),
+            "turn_idx": pa.array(range(len(texts)), pa.int32()),
+            "role": roles, "text": texts,
+        }), str(tmp_path / f"part-{f}.parquet"))
+    annotated = annotate(read_transcripts(str(tmp_path)),
+                         emit="link").materialize()
+    assert annotated.num_blocks() > 1
+    out = annotated.to_pandas()
+    assert len(out) == 3 * len(texts)
+    assert out["ok"].sum() == 3 * 5
+    for row in out.itertuples():
+        record, err = annotate_turn_text(
+            row.text, simulate_model_tokens=row.role == "tool")
+        assert row.error == err
+        assert row.link_json == (
+            "" if record is None else _link_payload_json(record))

@@ -118,3 +118,31 @@ def test_no_resume_rewrites_config(ray_session, tiny_transcripts, tmp_path):
     with open(os.path.join(out_dir, "_CONFIG")) as fh:
         cfg = json.load(fh)
     assert cfg["canon_threshold"] == 0.31
+
+
+def test_materialize_without_dead_letters(ray_session, tiny_table, tmp_path):
+    """An input whose every turn annotates cleanly has an empty errors
+    table: the stage must still write a readable, schema-typed empty table,
+    and a rerun must resume from it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.functions.record import annotate_turn_text
+    from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
+
+    ok = [annotate_turn_text(t, simulate_model_tokens=r == "tool")[0]
+          is not None for t, r in zip(tiny_table.column("text").to_pylist(),
+                                      tiny_table.column("role").to_pylist())]
+    assert not all(ok)  # the fixture itself has dead letters to drop
+    src = str(tmp_path / "all_ok.parquet")
+    pq.write_table(tiny_table.filter(pa.array(ok)), src)
+
+    out_dir = str(tmp_path / "kg_all_ok")
+    out = materialize_kg(src, out_dir, num_partitions=2, concurrency=2)
+    errors = pq.read_table(out["errors"])
+    assert errors.num_rows == 0
+    assert errors.schema.names == ["conv_id", "turn_idx", "error"]
+    assert rd.read_parquet(out["triples"]).count() > 100
+    out2 = materialize_kg(src, out_dir, num_partitions=2, concurrency=2)
+    assert pq.read_table(out2["errors"]).num_rows == 0

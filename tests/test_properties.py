@@ -98,3 +98,43 @@ def test_round_half_away_matches_duckdb(x, digits):
     ).fetchone()[0]
     got = round_half_away(x, digits)
     assert got == expected, (x, digits, got, expected)
+
+
+# Arbitrary unicode, plus sentence-shaped text so the draws also reach the
+# parse / align / finalize steps, not only the tokenizer's early exits.
+TURN_TEXT = st.one_of(
+    st.text(max_size=120),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["Alice", "met", "Bob", "in", "Paris", ".", ",",
+                             "she", "bought", "Acme", "Corp", "?", "the",
+                             "<tool>", "[", "]", "(", ")", "42", "-", "'s"]),
+            st.text(min_size=1, max_size=6),
+        ),
+        max_size=25,
+    ).map(" ".join),
+)
+
+
+@given(TURN_TEXT, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_annotate_turn_text_dead_letter_contract(text, subwords):
+    """Every turn yields ``(record, "")`` or ``(None, reason)`` and never
+    raises: an escaped exception would fail the whole fused read+annotate
+    task instead of dead-lettering one row."""
+    import pyarrow as pa
+
+    from ontonotes_5_parsing_ray.functions.record import annotate_turn_text
+    from ontonotes_5_parsing_ray.stages.annotate import annotate_turns
+
+    record, reason = annotate_turn_text(text, simulate_model_tokens=subwords)
+    if record is None:
+        assert isinstance(reason, str) and reason
+    else:
+        assert reason == ""
+        assert set(record) == {"text", "morphology", "syntax", "entities"}
+    out = annotate_turns(pa.table({
+        "text": [text], "role": ["tool" if subwords else "user"]}),
+        emit="both")
+    assert out.column("ok").to_pylist() == [record is not None]
+    assert out.column("error").to_pylist() == [reason]
