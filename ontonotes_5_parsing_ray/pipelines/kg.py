@@ -6,9 +6,13 @@ Ray-Data-first composition (SURVEY.md §3.4):
       -> map_batches(annotate_turns)              [fused tasks, Arrow batches]
       -> groupby(hash(conv) % P).map_groups      [stable turn order + coref]
       -> canonicalization (MinHash/LSH + min-label components)
-      -> broadcast canon map -> rewrite triples   [map_batches]
-      -> groupby aggregates -> nodes / edges
+      -> build_graph: attach canonical surfaces   [broadcast dict or join]
+      -> pre-aggregated combines -> nodes / edges
       -> write_parquet partitioned + lineage markers
+
+:func:`build_graph` is the one graph-build path: :func:`run_kg_pipeline`
+(in memory) and ``materialize.materialize_kg`` (durable, resumable) both
+call it, and it makes the broadcast-vs-join choice for canon application.
 
 Scale notes
 -----------
@@ -16,7 +20,8 @@ Scale notes
   coref semantics. Everything upstream is embarrassingly block-parallel.
 * Canonicalization shuffles *distinct surfaces*, not mentions (map-side
   distinct first), then broadcasts the resulting map back (``ray.put`` once,
-  read per task) — no second all-to-all over the mention table.
+  read per task) — no second all-to-all over the mention table. A map too
+  big to broadcast is applied with hash-partitioned left joins instead.
 * Nothing materializes the full input; intermediates that are materialized
   (canon map, distinct surfaces) are O(|entity vocabulary|), not O(turns).
 """
@@ -24,8 +29,9 @@ Scale notes
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Union
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -33,9 +39,22 @@ import ray
 import ray.data as rd
 
 from ..functions.canon import DEFAULT_THRESHOLD, canonical_entity_id
+from ..functions.hashing import hash64_vec, partition_vec
 from ..functions.kgrules import normalize_surface
+from ..stages import canonicalize, relational
 from ..stages.annotate import annotate_turns
 from ..stages.canonicalize import build_canon_map, canon_map_to_dict
+from ..stages.link import (
+    _BULK_EMPTY,
+    BULK_COLUMNS,
+    finalize_bulk_rows,
+    finalize_partition_group,
+    link_bucket_partition,
+    link_partition_group,
+    resolution_dicts,
+    resolve_conv_partition,
+)
+from ..stages.relational import hash_join
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "ts"]
 REQUIRED_TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
@@ -145,9 +164,6 @@ def link(annotated: rd.Dataset, num_partitions: int = LINK_PARTITIONS) -> rd.Dat
     whole (coref locality) but the corpus forms ``P`` bounded groups, not
     one pandas group per conversation (billions at 100 TB). The per-conv
     kernel runs inside :func:`link_partition_group`."""
-    from ..functions.hashing import partition_vec
-    from ..stages.link import link_partition_group
-
     turns = annotated.map_batches(_prov_columns, batch_format="pyarrow")
     with_part = turns.map_batches(
         lambda t: t.append_column("part", pa.array(
@@ -168,11 +184,7 @@ def link(annotated: rd.Dataset, num_partitions: int = LINK_PARTITIONS) -> rd.Dat
 RESOLUTION_BROADCAST_LIMIT = 2_000_000
 
 
-def link_salted(
-    annotated: rd.Dataset,
-    bucket_size: int = 512,
-    resolution_broadcast_limit: int = RESOLUTION_BROADCAST_LIMIT,
-) -> rd.Dataset:
+def link_salted(annotated: rd.Dataset, bucket_size: int = 512) -> rd.Dataset:
     """Skew-safe linking: the salted-key two-phase variant (north_rule).
 
     Phase A groups by the salted key ``(conv_id, turn_idx // bucket_size)``
@@ -183,21 +195,13 @@ def link_salted(
     skewed data).
 
     Phase C auto-routes on resolution count: at or below
-    ``resolution_broadcast_limit`` the resolutions become driver dicts
+    ``RESOLUTION_BROADCAST_LIMIT`` the resolutions become driver dicts
     broadcast via ``ray.put`` (fast path); above it nothing touches the
     driver — bulk rows and resolution rows are CO-PARTITIONED by
     ``hash(conv_id) % P`` in one groupby and the identical finalize kernel
     runs per partition with partition-local dicts (one more bounded
     exchange, same semantics, tested equal).
     """
-    import pyarrow.compute as pc
-
-    from ..stages.link import finalize_bulk_rows, resolve_conv_group
-
-    import numpy as np
-
-    from ..functions.hashing import hash64_vec
-    from ..stages.link import link_bucket_partition
 
     def add_bucket_part(t: pa.Table) -> pa.Table:
         bucket = pc.cast(pc.floor(pc.divide(
@@ -223,10 +227,6 @@ def link_salted(
         batch_format="pandas",
     ).materialize()
 
-    from ..stages.link import resolve_conv_partition
-
-    from ..functions.hashing import partition_vec
-
     def summary_rows(t: pa.Table) -> pa.Table:
         s = t.filter(pc.equal(t.column("row_kind"), "summary")).select(
             ["conv_id", "bucket", "summary_json"])
@@ -240,9 +240,7 @@ def link_salted(
         batch_format="pandas",
     ).materialize()
 
-    if resolutions_ds.count() <= resolution_broadcast_limit:
-        from ..stages.link import resolution_dicts
-
+    if resolutions_ds.count() <= RESOLUTION_BROADCAST_LIMIT:
         chain_maps, pendings = resolution_dicts(resolutions_ds.to_pandas())
         chains_ref = ray.put(chain_maps)
         pendings_ref = ray.put(pendings)
@@ -257,12 +255,6 @@ def link_salted(
     # Co-partitioned phase C: align both streams on one superset schema
     # (resolution rows ride as row_kind='resolution'), hash(conv) % P, one
     # grouping pass applies the shared finalize kernel per partition.
-    from ..stages.link import (
-        BULK_COLUMNS,
-        _BULK_EMPTY,
-        finalize_partition_group,
-    )
-
     EXTRA = ["kind", "key", "chain_id"]
 
     def bulk_superset(t: pa.Table) -> pa.Table:
@@ -314,10 +306,21 @@ def link_salted(
     )
 
 
+def annotate_and_link(
+    ds: rd.Dataset,
+    concurrency: Optional[int] = None,
+    salted_bucket_size: Optional[int] = None,
+) -> rd.Dataset:
+    """Annotate turns and link them into the union table: salted two-phase
+    linking when ``salted_bucket_size`` is set, else the one-pass linker."""
+    annotated = annotate(ds, concurrency=concurrency, emit="link")
+    if salted_bucket_size:
+        return link_salted(annotated, bucket_size=salted_bucket_size)
+    return link(annotated)
+
+
 def split_linked(linked: rd.Dataset):
     """Vectorized split of the union table into mentions / raw triples."""
-    import pyarrow.compute as pc
-
     mentions = linked.map_batches(
         lambda t: t.filter(pc.equal(t.column("row_kind"), "mention")).select(
             ["conv_id", "turn_idx", "start", "end", "surface",
@@ -337,8 +340,6 @@ def split_linked(linked: rd.Dataset):
 
 
 def surfaces_for_canon(mentions: rd.Dataset, triples: rd.Dataset) -> rd.Dataset:
-    import pyarrow.compute as pc
-
     def mention_norms(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(t.column("is_pronoun")))
         return pa.table({
@@ -358,157 +359,75 @@ def surfaces_for_canon(mentions: rd.Dataset, triples: rd.Dataset) -> rd.Dataset:
     )
 
 
-def canonicalize_triples(
-    triples: rd.Dataset, canon_ref: "ray.ObjectRef"
-) -> rd.Dataset:
-    """Rewrite subj/obj to canonical surfaces + ids via the broadcast map."""
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        canon: Dict[str, str] = ray.get(canon_ref)
-        subj = batch.column("subj").to_pylist()
-        obj = batch.column("obj").to_pylist()
-        subj_canon = [canon.get(normalize_surface(s), normalize_surface(s)) for s in subj]
-        obj_canon = [canon.get(normalize_surface(o), normalize_surface(o)) for o in obj]
-        return (
-            batch
-            .append_column("subj_canon", pa.array(subj_canon, pa.string()))
-            .append_column("obj_canon", pa.array(obj_canon, pa.string()))
-            .append_column("subj_id", pa.array(
-                [canonical_entity_id(c) for c in subj_canon], pa.string()))
-            .append_column("obj_id", pa.array(
-                [canonical_entity_id(c) for c in obj_canon], pa.string()))
-        )
-
-    return triples.map_batches(rewrite, batch_format="pyarrow")
+Canon = Union[ray.ObjectRef, rd.Dataset]
 
 
-def canonicalize_triples_join(
-    triples: rd.Dataset, canon_map: rd.Dataset, num_partitions: int = None
-) -> rd.Dataset:
-    """The too-big-to-broadcast twin of :func:`canonicalize_triples`: the
-    canon map stays a Dataset and each of subj/obj is resolved with a
-    hash-partitioned LEFT join on the normalized surface (missing norms keep
-    themselves, as in the broadcast dict's ``.get`` default). Two bounded
-    exchanges instead of one driver-held dict — same output, tested equal.
-    """
-    from ..stages.relational import hash_join
+def _with_canonical(ds: rd.Dataset, canon: Canon,
+                    columns: Dict[str, str]) -> rd.Dataset:
+    """Append, for each ``surface column -> output column`` pair, the
+    canonical surface of the normalized surface; a norm the map lacks keeps
+    itself. ``canon`` is either the broadcast dict's ``ObjectRef`` (a dict
+    ``.get`` per row, no shuffle) or the canon-map Dataset (one left hash
+    join per column on the norm, nothing on the driver) — the lookup is the
+    only difference between the two routes."""
+    def norms(t: pa.Table, c: str) -> List[str]:
+        return [normalize_surface(s) for s in t.column(c).to_pylist()]
 
-    def add_norms(batch: pa.Table) -> pa.Table:
-        subj_n = [normalize_surface(s) for s in batch.column("subj").to_pylist()]
-        obj_n = [normalize_surface(o) for o in batch.column("obj").to_pylist()]
-        return (batch
-                .append_column("subj_norm", pa.array(subj_n, pa.string()))
-                .append_column("obj_norm", pa.array(obj_n, pa.string())))
+    def canonical(hits: list, ns: List[str]) -> pa.Array:
+        return pa.array([h if h is not None else n
+                         for h, n in zip(hits, ns)], pa.string())
 
-    with_norms = triples.map_batches(add_norms, batch_format="pyarrow")
+    if isinstance(canon, ray.ObjectRef):
+        def lookup(t: pa.Table) -> pa.Table:
+            mapping: Dict[str, str] = ray.get(canon)
+            for c, name in columns.items():
+                ns = norms(t, c)
+                t = t.append_column(
+                    name, canonical([mapping.get(n) for n in ns], ns))
+            return t
 
-    subj_map = canon_map.map_batches(
-        lambda t: t.rename_columns(["subj_norm", "subj_canon_j"]),
-        batch_format="pyarrow")
-    joined = hash_join(with_norms, subj_map, on=["subj_norm"],
-                       join_type="left_outer", num_partitions=num_partitions)
-    obj_map = canon_map.map_batches(
-        lambda t: t.rename_columns(["obj_norm", "obj_canon_j"]),
-        batch_format="pyarrow")
-    joined = hash_join(joined, obj_map, on=["obj_norm"],
-                       join_type="left_outer", num_partitions=num_partitions)
+        return ds.map_batches(lookup, batch_format="pyarrow")
 
-    def finish(batch: pa.Table) -> pa.Table:
-        subj_canon = [
-            c if c is not None else n
-            for c, n in zip(batch.column("subj_canon_j").to_pylist(),
-                            batch.column("subj_norm").to_pylist())
-        ]
-        obj_canon = [
-            c if c is not None else n
-            for c, n in zip(batch.column("obj_canon_j").to_pylist(),
-                            batch.column("obj_norm").to_pylist())
-        ]
-        out = batch.drop_columns(
-            ["subj_norm", "obj_norm", "subj_canon_j", "obj_canon_j"])
-        return (out
-                .append_column("subj_canon", pa.array(subj_canon, pa.string()))
-                .append_column("obj_canon", pa.array(obj_canon, pa.string()))
-                .append_column("subj_id", pa.array(
-                    [canonical_entity_id(c) for c in subj_canon], pa.string()))
-                .append_column("obj_id", pa.array(
-                    [canonical_entity_id(c) for c in obj_canon], pa.string())))
+    norm = {c: f"{c}_norm" for c in columns}
+    found = {c: f"{c}_canon_j" for c in columns}
 
+    def add_norms(t: pa.Table) -> pa.Table:
+        for c in columns:
+            t = t.append_column(norm[c], pa.array(norms(t, c), pa.string()))
+        return t
+
+    def finish(t: pa.Table) -> pa.Table:
+        out = t.drop_columns([*norm.values(), *found.values()])
+        for c, name in columns.items():
+            out = out.append_column(name, canonical(
+                t.column(found[c]).to_pylist(), t.column(norm[c]).to_pylist()))
+        return out
+
+    joined = ds.map_batches(add_norms, batch_format="pyarrow")
+    for c in columns:
+        right = canon.map_batches(
+            lambda t, c=c: t.rename_columns([norm[c], found[c]]),
+            batch_format="pyarrow")
+        joined = hash_join(joined, right, on=[norm[c]],
+                           join_type="left_outer")
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
-def _mentions_with_canonical_broadcast(
-    mentions: rd.Dataset, canon_ref: "ray.ObjectRef"
-) -> rd.Dataset:
-    """Non-pronoun mentions + ``canonical_surface`` via the broadcast map."""
+def canonicalize_triples(triples: rd.Dataset, canon: Canon) -> rd.Dataset:
+    """Rewrite subj/obj to canonical surfaces + ids (``canon``: the
+    broadcast map's ``ObjectRef`` or the canon-map Dataset)."""
 
-    def add_canonical(batch: pa.Table) -> pa.Table:
-        canon: Dict[str, str] = ray.get(canon_ref)
-        t = batch.filter(pc.invert(batch.column("is_pronoun")))
-        t = t.select(["conv_id", "turn_idx", "surface", "entity_type",
-                      "ts", "lang"])
-        canonical = [canon.get(normalize_surface(s), normalize_surface(s))
-                     for s in t.column("surface").to_pylist()]
-        return t.append_column(
-            "canonical_surface", pa.array(canonical, pa.string()))
+    def add_ids(t: pa.Table) -> pa.Table:
+        for side in ("subj", "obj"):
+            t = t.append_column(f"{side}_id", pa.array(
+                [canonical_entity_id(c)
+                 for c in t.column(f"{side}_canon").to_pylist()],
+                pa.string()))
+        return t
 
-    return mentions.map_batches(add_canonical, batch_format="pyarrow")
-
-
-def _mentions_with_canonical_join(
-    mentions: rd.Dataset, canon_map: rd.Dataset,
-    num_partitions: Optional[int] = None,
-) -> rd.Dataset:
-    """The too-big-to-broadcast twin: resolve ``canonical_surface`` with a
-    hash-partitioned LEFT join on the normalized surface (missing norms keep
-    themselves — the broadcast dict's ``.get`` default)."""
-    from ..stages.relational import hash_join
-
-    def add_norm(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.invert(batch.column("is_pronoun")))
-        t = t.select(["conv_id", "turn_idx", "surface", "entity_type",
-                      "ts", "lang"])
-        norms = [normalize_surface(s) for s in t.column("surface").to_pylist()]
-        return t.append_column("norm", pa.array(norms, pa.string()))
-
-    joined = hash_join(
-        mentions.map_batches(add_norm, batch_format="pyarrow"),
-        canon_map, on=["norm"], join_type="left_outer",
-        num_partitions=num_partitions,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        canonical = [
-            c if c is not None else n
-            for c, n in zip(batch.column("canon").to_pylist(),
-                            batch.column("norm").to_pylist())
-        ]
-        return batch.drop_columns(["norm", "canon"]).append_column(
-            "canonical_surface", pa.array(canonical, pa.string()))
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-def build_nodes(mentions: rd.Dataset, canon_ref: "ray.ObjectRef",
-                driver_combine_limit: int = 200_000) -> rd.Dataset:
-    """Node table via partial aggregation: per-batch partials keyed by
-    canonical surface, then one small groupby-combine (pre-aggregate before
-    the shuffle, SURVEY.md 'push aggregation partial')."""
-    return _nodes_from_canonical(
-        _mentions_with_canonical_broadcast(mentions, canon_ref),
-        driver_combine_limit=driver_combine_limit)
-
-
-def build_nodes_join(
-    mentions: rd.Dataset, canon_map: rd.Dataset,
-    num_partitions: Optional[int] = None,
-    driver_combine_limit: int = 200_000,
-) -> rd.Dataset:
-    """Join-route node table (canon map stays a Dataset; same output as
-    :func:`build_nodes`, tested equal)."""
-    return _nodes_from_canonical(
-        _mentions_with_canonical_join(mentions, canon_map, num_partitions),
-        driver_combine_limit=driver_combine_limit)
+    return _with_canonical(
+        triples, canon, {"subj": "subj_canon", "obj": "obj_canon"}
+    ).map_batches(add_ids, batch_format="pyarrow")
 
 
 # Per-node surface_forms list cap: top-N by mention count. A pronoun-like
@@ -516,172 +435,165 @@ def build_nodes_join(
 # unbounded (multi-GB at 100x) JSON row.
 SURFACE_FORMS_CAP = 32
 
+NODE_KEYS = ["canonical_surface", "surface", "entity_type"]
 
-def _nodes_from_canonical(mentions_canonical: rd.Dataset,
-                          driver_combine_limit: int = 200_000) -> rd.Dataset:
-    """Shared tail of the node build: per-batch partials over batches that
-    already carry ``canonical_surface``, then the hash-bucketed combine."""
 
-    def partials(batch: pa.Table) -> pd.DataFrame:
-        df = batch.select(
-            ["canonical_surface", "conv_id", "turn_idx", "surface",
-             "entity_type", "ts", "lang"]
-        ).to_pandas()
-        if not len(df):
-            # dtype-stable empty frame: schemaless empty blocks confuse the
-            # streaming executor's schema unification
-            return pd.DataFrame({
-                "canonical_surface": pd.Series(dtype=object),
-                "surface": pd.Series(dtype=object),
-                "entity_type": pd.Series(dtype=object),
-                "n": pd.Series(dtype="int64"),
-                "first_conv_id": pd.Series(dtype=object),
-                "first_turn_idx": pd.Series(dtype="int64"),
-                "first_seen_ts": pd.Series(dtype="int64"),
-                "lang": pd.Series(dtype=object),
-            })
-        grp = df.groupby(
-            ["canonical_surface", "surface", "entity_type"], sort=True
-        ).agg(
-            n=("conv_id", "size"),
-        ).reset_index()
-        # provenance = the (min conv, min turn) mention's row (deterministic)
-        firsts = df.sort_values(["conv_id", "turn_idx"]).groupby(
-            ["canonical_surface", "surface", "entity_type"], sort=True
-        ).head(1)[["canonical_surface", "surface", "entity_type",
-                   "conv_id", "turn_idx", "ts", "lang"]]
-        firsts = firsts.rename(columns={
-            "conv_id": "first_conv_id", "turn_idx": "first_turn_idx",
-            "ts": "first_seen_ts"})
-        out = grp.merge(
-            firsts, on=["canonical_surface", "surface", "entity_type"]
-        )
-        return out
+def _node_partials(batch: pa.Table) -> pa.Table:
+    """Per-batch node partials keyed by (canonical surface, surface, type):
+    mention count plus the (min conv, min turn) mention's provenance."""
+    df = batch.select(
+        ["canonical_surface", "conv_id", "turn_idx", "surface",
+         "entity_type", "ts", "lang"]
+    ).to_pandas()
+    if not len(df):
+        # dtype-stable empty frame: schemaless empty blocks confuse the
+        # streaming executor's schema unification
+        return pa.Table.from_pandas(pd.DataFrame({
+            "canonical_surface": pd.Series(dtype=object),
+            "surface": pd.Series(dtype=object),
+            "entity_type": pd.Series(dtype=object),
+            "n": pd.Series(dtype="int64"),
+            "first_conv_id": pd.Series(dtype=object),
+            "first_turn_idx": pd.Series(dtype="int64"),
+            "first_seen_ts": pd.Series(dtype="int64"),
+            "lang": pd.Series(dtype=object),
+        }), preserve_index=False)
+    grp = df.groupby(NODE_KEYS, sort=True).agg(
+        n=("conv_id", "size"),
+    ).reset_index()
+    # provenance = the (min conv, min turn) mention's row (deterministic)
+    firsts = df.sort_values(["conv_id", "turn_idx"]).groupby(
+        NODE_KEYS, sort=True
+    ).head(1)[NODE_KEYS + ["conv_id", "turn_idx", "ts", "lang"]]
+    firsts = firsts.rename(columns={
+        "conv_id": "first_conv_id", "turn_idx": "first_turn_idx",
+        "ts": "first_seen_ts"})
+    return pa.Table.from_pandas(grp.merge(firsts, on=NODE_KEYS),
+                                preserve_index=False)
 
-    def combine_partition(group: pd.DataFrame) -> pa.Table:
-        """Vectorized combine of ONE hash partition of partial rows: inner
-        pandas groupbys handle every canonical surface in the partition at
-        once — never one UDF call per entity (entity vocabulary is corpus-
-        scale; per-group map_groups was the exact_dedup anti-pattern)."""
-        df = group.drop(columns=["part"], errors="ignore")
-        # majority entity type, ties by name: sort by (-count, type), head(1)
-        tc = df.groupby(["canonical_surface", "entity_type"], sort=False)["n"] \
-               .sum().reset_index()
-        tc = tc.sort_values(["canonical_surface", "n", "entity_type"],
-                            ascending=[True, False, True], kind="mergesort")
-        best_type = tc.drop_duplicates("canonical_surface") \
-                      .set_index("canonical_surface")["entity_type"]
-        firsts = df.sort_values(
-            ["canonical_surface", "first_conv_id", "first_turn_idx"],
-            kind="mergesort",
-        ).drop_duplicates("canonical_surface").set_index("canonical_surface")
-        # surface_forms is CAPPED at the top-N forms by mention count
-        # (ties lexicographic): one mega-entity must not grow a multi-GB
-        # row; n_surface_forms keeps the true distinct total
-        sc = df.groupby(["canonical_surface", "surface"], sort=False)["n"] \
-               .sum().reset_index()
-        sc = sc.sort_values(["canonical_surface", "n", "surface"],
-                            ascending=[True, False, True], kind="mergesort")
-        n_forms = sc.groupby("canonical_surface", sort=True)["surface"].size()
-        kept = sc.groupby("canonical_surface", sort=False) \
-                 .head(SURFACE_FORMS_CAP)
-        surface_forms = kept.groupby("canonical_surface", sort=True)["surface"] \
-            .agg(lambda s: json.dumps(list(s), ensure_ascii=False))
-        n_mentions = df.groupby("canonical_surface", sort=True)["n"].sum()
-        out = pd.DataFrame({
-            "canonical_surface": n_mentions.index,
-            "entity_type": best_type.reindex(n_mentions.index).to_numpy(),
-            "surface_forms": surface_forms.reindex(n_mentions.index).to_numpy(),
-            "n_surface_forms": n_forms.reindex(n_mentions.index).to_numpy().astype("int64"),
-            "n_mentions": n_mentions.to_numpy().astype("int64"),
-            "first_conv_id": firsts["first_conv_id"].reindex(n_mentions.index).to_numpy(),
-            "first_turn_idx": firsts["first_turn_idx"].reindex(n_mentions.index).to_numpy().astype("int64"),
-            "first_seen_ts": firsts["first_seen_ts"].reindex(n_mentions.index).to_numpy().astype("int64"),
-            "lang": firsts["lang"].reindex(n_mentions.index).to_numpy(),
-        })
-        out.insert(0, "canonical_id",
-                   [canonical_entity_id(c) for c in out["canonical_surface"]])
-        return pa.Table.from_pandas(out, preserve_index=False)
 
-    NODE_PARTITIONS = 64
+def _combine_nodes(df: pd.DataFrame) -> pa.Table:
+    """Vectorized combine of node partials (all of them, or one hash
+    partition): inner pandas groupbys handle every canonical surface at
+    once — never one UDF call per entity (entity vocabulary is corpus-
+    scale; per-group map_groups was the exact_dedup anti-pattern)."""
+    # majority entity type, ties by name: sort by (-count, type), head(1)
+    tc = df.groupby(["canonical_surface", "entity_type"], sort=False)["n"] \
+           .sum().reset_index()
+    tc = tc.sort_values(["canonical_surface", "n", "entity_type"],
+                        ascending=[True, False, True], kind="mergesort")
+    best_type = tc.drop_duplicates("canonical_surface") \
+                  .set_index("canonical_surface")["entity_type"]
+    firsts = df.sort_values(
+        ["canonical_surface", "first_conv_id", "first_turn_idx"],
+        kind="mergesort",
+    ).drop_duplicates("canonical_surface").set_index("canonical_surface")
+    # surface_forms is CAPPED at the top-N forms by mention count
+    # (ties lexicographic): one mega-entity must not grow a multi-GB
+    # row; n_surface_forms keeps the true distinct total
+    sc = df.groupby(["canonical_surface", "surface"], sort=False)["n"] \
+           .sum().reset_index()
+    sc = sc.sort_values(["canonical_surface", "n", "surface"],
+                        ascending=[True, False, True], kind="mergesort")
+    n_forms = sc.groupby("canonical_surface", sort=True)["surface"].size()
+    kept = sc.groupby("canonical_surface", sort=False) \
+             .head(SURFACE_FORMS_CAP)
+    surface_forms = kept.groupby("canonical_surface", sort=True)["surface"] \
+        .agg(lambda s: json.dumps(list(s), ensure_ascii=False))
+    n_mentions = df.groupby("canonical_surface", sort=True)["n"].sum()
+    out = pd.DataFrame({
+        "canonical_surface": n_mentions.index,
+        "entity_type": best_type.reindex(n_mentions.index).to_numpy(),
+        "surface_forms": surface_forms.reindex(n_mentions.index).to_numpy(),
+        "n_surface_forms": n_forms.reindex(n_mentions.index).to_numpy().astype("int64"),
+        "n_mentions": n_mentions.to_numpy().astype("int64"),
+        "first_conv_id": firsts["first_conv_id"].reindex(n_mentions.index).to_numpy(),
+        "first_turn_idx": firsts["first_turn_idx"].reindex(n_mentions.index).to_numpy().astype("int64"),
+        "first_seen_ts": firsts["first_seen_ts"].reindex(n_mentions.index).to_numpy().astype("int64"),
+        "lang": firsts["lang"].reindex(n_mentions.index).to_numpy(),
+    })
+    out.insert(0, "canonical_id",
+               [canonical_entity_id(c) for c in out["canonical_surface"]])
+    return pa.Table.from_pandas(out, preserve_index=False)
 
-    def add_part(batch: pd.DataFrame) -> pa.Table:
-        from ..functions.hashing import partition_vec
 
-        batch = batch.copy()
-        batch["part"] = partition_vec(batch["canonical_surface"],
-                                      NODE_PARTITIONS)
-        return pa.Table.from_pandas(batch, preserve_index=False)
-
-    parts = mentions_canonical.map_batches(
-        lambda t: pa.Table.from_pandas(partials(t), preserve_index=False),
+def build_nodes(mentions: rd.Dataset, canon: Canon) -> rd.Dataset:
+    """Node table via partial aggregation: non-pronoun mentions get their
+    canonical surface (``canon``: the broadcast map's ``ObjectRef`` or the
+    canon-map Dataset), per-batch partials pre-aggregate before the shuffle
+    (SURVEY.md 'push aggregation partial'), then one combine."""
+    named = mentions.map_batches(
+        lambda t: t.filter(pc.invert(t.column("is_pronoun"))).select(
+            ["conv_id", "turn_idx", "surface", "entity_type", "ts", "lang"]),
         batch_format="pyarrow",
-    ).materialize()  # pin partials; reused by whichever combine route runs
+    )
+    parts = _with_canonical(
+        named, canon, {"surface": "canonical_surface"}
+    ).map_batches(_node_partials, batch_format="pyarrow").materialize()
     # Vocabulary-sized partials combine on the driver with ONE call of the
-    # same vectorized kernel — a 64-partition sort shuffle for a few
-    # hundred entities is pure fixed cost that dilutes the parallel
-    # fraction (measured in the 4-vs-16-CPU scaling ratio). Corpus-scale
-    # vocabularies keep the hash-bucketed distributed combine.
-    if 0 < parts.count() <= driver_combine_limit:
-        return rd.from_arrow(combine_partition(parts.to_pandas()))
-    return (
-        parts
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine_partition, batch_format="pandas")
-    )
+    # same vectorized kernel — a sort shuffle for a few hundred entities is
+    # pure fixed cost that dilutes the parallel fraction (measured in the
+    # 4-vs-16-CPU scaling ratio). Corpus-scale vocabularies keep the
+    # hash-partitioned distributed combine.
+    if 0 < parts.count() <= relational.PREAGG_DRIVER_LIMIT:
+        return rd.from_arrow(_combine_nodes(parts.to_pandas()))
+    return relational.partition_map_groups(
+        parts, "canonical_surface", _combine_nodes)
 
 
-def build_edges(canon_triples: rd.Dataset,
-                driver_combine_limit: int = 200_000) -> rd.Dataset:
-    """Exact-dedup edges: partial per-batch counts then a grouped combine —
-    the D2 analogue (``groupby((subj,pred,obj)).first``) with map-side
-    pre-aggregation."""
+EDGE_KEYS = ["subj_id", "pred", "obj_id", "subj_canon", "obj_canon"]
+EDGE_AGGS = {"n_occurrences": ("conv_id", "count"),
+             "first_conv_id": ("conv_id", "min")}
 
-    def partials(batch: pa.Table) -> pd.DataFrame:
-        df = batch.select(
-            ["subj_id", "pred", "obj_id", "subj_canon", "obj_canon", "conv_id"]
-        ).to_pandas()
-        if not len(df):
-            return pd.DataFrame({
-                "subj_id": pd.Series(dtype=object),
-                "pred": pd.Series(dtype=object),
-                "obj_id": pd.Series(dtype=object),
-                "subj_canon": pd.Series(dtype=object),
-                "obj_canon": pd.Series(dtype=object),
-                "n": pd.Series(dtype="int64"),
-                "first_conv_id": pd.Series(dtype=object),
-            })
-        return df.groupby(
-            ["subj_id", "pred", "obj_id", "subj_canon", "obj_canon"], sort=True
-        ).agg(n=("conv_id", "size"), first_conv_id=("conv_id", "min")).reset_index()
 
-    from ray.data.aggregate import Min as RMin, Sum as RSum
-
-    # Native aggregate combine: distinct-edge cardinality is corpus-scale,
-    # so no per-edge UDF. subj_canon/obj_canon are functions of the ids and
-    # ride in the group key.
-    parts = canon_triples.map_batches(
-        lambda t: pa.Table.from_pandas(partials(t), preserve_index=False),
-        batch_format="pyarrow",
+def build_edges(canon_triples: rd.Dataset) -> rd.Dataset:
+    """Exact-dedup edges — the D2 analogue (``groupby((subj,pred,obj))
+    .first``) on the relational pre-aggregation engine: per-batch partial
+    counts, then one pandas combine on the driver for edge sets below
+    ``PREAGG_DRIVER_LIMIT`` partial rows (a shuffle there is pure fixed
+    cost) or the distributed native aggregate above it. subj_canon /
+    obj_canon are functions of the ids and ride in the group key."""
+    parts = relational._partials_ds(
+        canon_triples.select_columns(EDGE_KEYS + ["conv_id"]),
+        EDGE_KEYS, EDGE_AGGS,
     ).materialize()  # pin pre-agg partials before the shuffle
-    # Edge vocabularies below the driver budget combine with one pandas
-    # groupby — the native Aggregate's shuffle is pure fixed cost there
-    # (same routing rationale as the node combine); corpus-scale edge sets
-    # keep the distributed aggregate.
-    if 0 < parts.count() <= driver_combine_limit:
-        out = parts.to_pandas().groupby(
-            ["subj_id", "pred", "obj_id", "subj_canon", "obj_canon"],
-            sort=True,
-        ).agg(n_occurrences=("n", "sum"),
-              first_conv_id=("first_conv_id", "min")).reset_index()
-        return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
-    return parts.groupby(
-        ["subj_id", "pred", "obj_id", "subj_canon", "obj_canon"]
-    ).aggregate(
-        RSum("n", alias_name="n_occurrences"),
-        RMin("first_conv_id", alias_name="first_conv_id"),
+    if 0 < parts.count() <= relational.PREAGG_DRIVER_LIMIT:
+        return rd.from_arrow(relational.to_arrow(relational._combine_pandas(
+            parts.to_pandas(), EDGE_KEYS, EDGE_AGGS)))
+    return relational._combine_distributed(parts, EDGE_KEYS, EDGE_AGGS)
+
+
+def build_graph(linked: rd.Dataset, canon_map: rd.Dataset
+                ) -> Dict[str, Callable[[], rd.Dataset]]:
+    """The one graph-build path over a linked union table and its canon map:
+    ``{table: zero-argument builder}`` for mentions, triples, nodes, edges
+    and errors. Nothing runs until a builder is called, so a caller that
+    already has a table (a resumed stage) does none of its node or edge
+    work.
+
+    Canon application routes once, here, on map size: at or below
+    ``canonicalize.BROADCAST_LIMIT`` entries the map broadcasts as a dict
+    (``ray.put`` once); above it the map stays a Dataset and every lookup
+    is a hash-partitioned left join — the driver never holds an over-limit
+    map."""
+    mentions, triples = split_linked(linked)
+    limit = canonicalize.BROADCAST_LIMIT
+    canon: Canon = canon_map
+    if canon_map.count() <= limit:
+        canon = ray.put(canon_map_to_dict(canon_map, limit=limit))
+    canon_triples = canonicalize_triples(triples, canon)
+    errors = linked.map_batches(
+        lambda t: t.filter(pc.equal(t.column("row_kind"), "error")).select(
+            ["conv_id", "turn_idx", "error"]),
+        batch_format="pyarrow",
     )
+    return {
+        "mentions": lambda: mentions,
+        "triples": lambda: canon_triples,
+        "nodes": lambda: build_nodes(mentions, canon),
+        "edges": lambda: build_edges(canon_triples),
+        "errors": lambda: errors,
+    }
 
 
 def run_kg_pipeline(
@@ -689,57 +601,18 @@ def run_kg_pipeline(
     canon_threshold: float = DEFAULT_THRESHOLD,
     concurrency: Optional[int] = None,
     salted_bucket_size: Optional[int] = None,
-    canon_driver_limit: Optional[int] = None,
-    canon_broadcast_limit: Optional[int] = None,
 ) -> Dict[str, rd.Dataset]:
     """Build the KG in memory; returns the component Datasets.
 
     The linked union table is materialized once (it is O(mentions+triples),
-    far smaller than the input) so mentions/triples/canon all derive from it
-    without re-running annotation.
-
-    Canon application auto-routes on map size: at or below
-    ``canon_broadcast_limit`` (default ``canonicalize.BROADCAST_LIMIT``) the
-    map broadcasts as a dict; above it the already-tested hash-partitioned
-    join twins (:func:`canonicalize_triples_join`, :func:`build_nodes_join`)
-    take over — the pipeline never fail-stops on map size and the driver
-    never holds an over-limit map.
+    far smaller than the input) so the canon map and every graph table
+    derive from it without re-running annotation; :func:`build_graph`
+    builds the tables (and makes the broadcast-vs-join choice).
     """
-    from ..stages.canonicalize import BROADCAST_LIMIT
-
-    ds = read_transcripts(transcript_path)
-    annotated = annotate(ds, concurrency=concurrency, emit="link")
-    if salted_bucket_size:
-        linked = link_salted(annotated, bucket_size=salted_bucket_size).materialize()
-    else:
-        linked = link(annotated).materialize()
-    mentions, triples = split_linked(linked)
-    canon_kwargs = ({} if canon_driver_limit is None
-                    else {"driver_limit": canon_driver_limit})
+    linked = annotate_and_link(read_transcripts(transcript_path),
+                               concurrency, salted_bucket_size).materialize()
     canon_map = build_canon_map(
-        surfaces_for_canon(mentions, triples), threshold=canon_threshold,
-        **canon_kwargs,
+        surfaces_for_canon(*split_linked(linked)), threshold=canon_threshold,
     ).materialize()
-    limit = (BROADCAST_LIMIT if canon_broadcast_limit is None
-             else canon_broadcast_limit)
-    if canon_map.count() <= limit:
-        canon_ref = ray.put(canon_map_to_dict(canon_map, limit=limit))
-        canon_triples = canonicalize_triples(triples, canon_ref)
-        nodes = build_nodes(mentions, canon_ref)
-    else:
-        canon_triples = canonicalize_triples_join(triples, canon_map)
-        nodes = build_nodes_join(mentions, canon_map)
-    edges = build_edges(canon_triples)
-    errors = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column("row_kind"), "error")).select(
-            ["conv_id", "turn_idx", "error"]
-        ),
-        batch_format="pyarrow",
-    )
-    return {
-        "mentions": mentions,
-        "triples": canon_triples,
-        "nodes": nodes,
-        "edges": edges,
-        "errors": errors,
-    }
+    builders = build_graph(linked, canon_map)
+    return {name: build() for name, build in builders.items()}

@@ -29,36 +29,27 @@ from __future__ import annotations
 
 import os
 import shutil
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from ..functions.canon import DEFAULT_THRESHOLD
 from ..state.checkpoint import (
-    done_marker,
     is_partition_done,
-    partition_of,
     pending_partitions,
     write_lineage,
 )
-from ..stages.canonicalize import build_canon_map, canon_map_to_dict
+from ..stages.canonicalize import build_canon_map
 from .kg import (
-    annotate,
-    build_edges,
-    build_nodes,
-    canonicalize_triples,
-    link,
-    link_salted,
+    annotate_and_link,
+    build_graph,
     read_transcripts,
     split_linked,
+    surfaces_for_canon,
 )
-
-GRAPH_TABLES = ("mentions", "triples", "nodes", "edges", "errors")
 
 
 def _add_partition_col(ds: rd.Dataset, num_partitions: int) -> rd.Dataset:
@@ -102,12 +93,14 @@ def materialize_kg(
     concurrency: Optional[int] = None,
     salted_bucket_size: Optional[int] = None,
     resume: bool = True,
-    canon_broadcast_limit: Optional[int] = None,
 ) -> Dict[str, str]:
     """Run the KG pipeline to durable, partitioned, resumable Parquet.
 
     Returns {table_name: directory}. Idempotent: a completed run is a no-op;
-    a partially completed run finishes only the pending work.
+    a partially completed run finishes only the pending work. The graph
+    tables come from :func:`kg.build_graph` — the same path (and the same
+    broadcast-vs-join canon routing) as ``run_kg_pipeline``; a table whose
+    stage marker exists is not built at all.
     """
     linked_dir = os.path.join(out_dir, "linked")
     os.makedirs(linked_dir, exist_ok=True)
@@ -167,12 +160,10 @@ def materialize_kg(
             ),
             batch_format="pyarrow",
         )
-        annotated = annotate(ds, concurrency=concurrency, emit="link")
-        linked = (
-            link_salted(annotated, bucket_size=salted_bucket_size)
-            if salted_bucket_size else link(annotated)
-        )
-        linked = _add_partition_col(linked, num_partitions).materialize()
+        linked = _add_partition_col(
+            annotate_and_link(ds, concurrency, salted_bucket_size),
+            num_partitions,
+        ).materialize()
         # Per-partition row counts (lineage metrics) via per-batch partials.
         counts_df = linked.map_batches(
             lambda t: t.group_by("part").aggregate([("part", "count")]),
@@ -215,45 +206,13 @@ def materialize_kg(
     canon_dir = os.path.join(canon_parent, "data")
     os.makedirs(canon_parent, exist_ok=True)
     if not (resume and is_partition_done(canon_parent, 0)):
-        from .kg import surfaces_for_canon
-
-        mentions, triples = split_linked(linked_all)
         canon_map = build_canon_map(
-            surfaces_for_canon(mentions, triples), threshold=canon_threshold
+            surfaces_for_canon(*split_linked(linked_all)),
+            threshold=canon_threshold,
         )
         _write_stage(canon_map, canon_dir, "canonmap")
     # ---- stage 3: graph tables (stage-resumable each) --------------------
-    # Canon application auto-routes on map size (same policy as
-    # run_kg_pipeline): broadcast dict at or below the limit, hash-
-    # partitioned join twins above it — a vocabulary too big for the driver
-    # never touches it.
-    from ..stages.canonicalize import BROADCAST_LIMIT
-    from .kg import build_nodes_join, canonicalize_triples_join
-
-    canon_ds = rd.read_parquet(canon_dir).materialize()
-    limit = (BROADCAST_LIMIT if canon_broadcast_limit is None
-             else canon_broadcast_limit)
-    mentions, triples = split_linked(linked_all)
-    if canon_ds.count() <= limit:
-        canon_ref = ray.put(canon_map_to_dict(canon_ds, limit=limit))
-        canon_triples = lambda: canonicalize_triples(triples, canon_ref)
-        nodes_builder = lambda: build_nodes(mentions, canon_ref)
-    else:
-        canon_triples = lambda: canonicalize_triples_join(triples, canon_ds)
-        nodes_builder = lambda: build_nodes_join(mentions, canon_ds)
-    errors = linked_all.map_batches(
-        lambda t: t.filter(pc.equal(t.column("row_kind"), "error")).select(
-            ["conv_id", "turn_idx", "error"]
-        ),
-        batch_format="pyarrow",
-    )
-    builders = {
-        "mentions": lambda: mentions,
-        "triples": canon_triples,
-        "nodes": nodes_builder,
-        "edges": lambda: build_edges(canon_triples()),
-        "errors": lambda: errors,
-    }
+    builders = build_graph(linked_all, rd.read_parquet(canon_dir).materialize())
     out: Dict[str, str] = {"linked": linked_dir, "canonmap": canon_dir}
     for name, builder in builders.items():
         parent = os.path.join(out_dir, name)

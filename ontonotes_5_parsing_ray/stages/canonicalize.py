@@ -27,7 +27,7 @@ requirement, SURVEY.md §4).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 import pandas as pd
@@ -147,15 +147,10 @@ def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
     """Alternate large/small star until the canonical edge set is stable.
     Returns the converged star forest (every non-root connected straight to
     its component's (len,lex)-min root)."""
-    import os
-    import time as _time
-
     from ray.data.aggregate import Count
 
-    debug = bool(os.environ.get("ONR_CANON_DEBUG"))
     prev_sig = None
-    for rnd in range(max_rounds):
-        t0 = _time.time()
+    for _ in range(max_rounds):
         D2 = _star_round(_star_round(D, True, STAR_PARTITIONS),
                          False, STAR_PARTITIONS)
         # canonical dedupe (cross-partition duplicates) + convergence signature
@@ -185,9 +180,6 @@ def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
         hsum = (sum(int(v) for v in parts["h"])
                 if len(parts) and "h" in parts.columns else 0)
         sig = (D.count(), int(hsum % (1 << 64)))
-        if debug:
-            print(f"[canon] star round {rnd}: {_time.time() - t0:.2f}s "
-                  f"edges={sig[0]}", flush=True)
         if sig == prev_sig:
             return D
         prev_sig = sig
@@ -226,9 +218,13 @@ def build_canon_map(
     surfaces: rd.Dataset,
     threshold: float = DEFAULT_THRESHOLD,
     max_rounds: int = 64,
-    driver_limit: int = DRIVER_CLUSTER_LIMIT,
+    driver_limit: Optional[int] = None,
 ) -> rd.Dataset:
-    """``Dataset[norm] -> Dataset[norm, canon]`` clustering (auto small/large path)."""
+    """``Dataset[norm] -> Dataset[norm, canon]`` clustering (auto small/large
+    path). ``driver_limit`` defaults to ``DRIVER_CLUSTER_LIMIT``, read at
+    call time."""
+    if driver_limit is None:
+        driver_limit = DRIVER_CLUSTER_LIMIT
 
     def per_batch_distinct(batch: pa.Table) -> pa.Table:
         norms = sorted(set(batch.column("norm").to_pylist()))
@@ -367,9 +363,9 @@ def canon_map_to_dict(
 ) -> Dict[str, str]:
     """Materialize the canon map to a broadcastable dict (small-side path).
 
-    Fail-stops above ``limit`` for direct callers; the pipelines
-    (``run_kg_pipeline``, ``materialize_kg``) check the count themselves and
-    auto-route to the hash-partitioned join twins instead of calling this."""
+    Fail-stops above ``limit`` for direct callers; ``kg.build_graph`` checks
+    the count itself and applies a bigger map with hash-partitioned joins
+    instead of calling this."""
     n = canon_map.count()
     if n > limit:
         raise ValueError(

@@ -192,15 +192,6 @@ def _bucket_rows(group: pd.DataFrame) -> List[dict]:
     return rows
 
 
-def resolve_conv_group(group: pd.DataFrame) -> pd.DataFrame:
-    """Phase B group fn: one conv_id's bucket SUMMARIES only (tiny)."""
-    return pd.DataFrame(
-        _resolve_rows(group),
-        columns=["conv_id", "kind", "key", "chain_id", "surface",
-                 "norm", "entity_type"],
-    )
-
-
 def resolve_conv_partition(group: pd.DataFrame) -> pd.DataFrame:
     """Phase B over one hash(conv) partition of summaries: per-conv merge
     kernels inside one frame (bounded groups, not one UDF per conv)."""

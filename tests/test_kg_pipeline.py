@@ -87,8 +87,9 @@ def test_node_provenance_first_seen_ts_and_lang(kg_result, tiny_table):
 
 
 def test_canonicalize_triples_join_equals_broadcast(ray_session, tiny_transcripts):
-    """The hash-partitioned-join canon application (too-big-to-broadcast
-    path) must equal the broadcast-dict path row for row."""
+    """Canon application with the map as a Dataset (the hash-partitioned
+    join route, for maps too big to broadcast) must equal the broadcast-dict
+    route row for row, with the same columns in the same order."""
     import pandas as pd
     import ray
 
@@ -99,7 +100,6 @@ def test_canonicalize_triples_join_equals_broadcast(ray_session, tiny_transcript
     from ontonotes_5_parsing_ray.pipelines.kg import (
         annotate,
         canonicalize_triples,
-        canonicalize_triples_join,
         link,
         read_transcripts,
         split_linked,
@@ -115,25 +115,26 @@ def test_canonicalize_triples_join_equals_broadcast(ray_session, tiny_transcript
 
     bcast = canonicalize_triples(
         triples, ray.put(canon_map_to_dict(canon_map))).to_pandas()
-    joined = canonicalize_triples_join(triples, canon_map).to_pandas()
+    joined = canonicalize_triples(triples, canon_map).to_pandas()
 
-    cols = sorted(bcast.columns)
-    assert sorted(joined.columns) == cols
+    assert list(joined.columns) == list(bcast.columns)
     key = ["conv_id", "turn_idx", "pred", "subj", "obj"]
-    b = bcast[cols].sort_values(key).reset_index(drop=True)
-    j = joined[cols].sort_values(key).reset_index(drop=True)
+    b = bcast.sort_values(key).reset_index(drop=True)
+    j = joined.sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(b, j)
 
 
-def test_full_pipeline_with_distributed_canon_path(ray_session, tiny_transcripts):
+def test_full_pipeline_with_distributed_canon_path(ray_session, tiny_transcripts,
+                                                   monkeypatch):
     """End-to-end KG build with the DISTRIBUTED canonicalization path forced
-    (canon_driver_limit=0: LSH banding + star components, no driver
+    (DRIVER_CLUSTER_LIMIT=0: LSH banding + star components, no driver
     clustering) must produce the identical graph."""
     from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+    from ontonotes_5_parsing_ray.stages import canonicalize
 
     fast = run_kg_pipeline(tiny_transcripts, concurrency=2)
-    dist = run_kg_pipeline(tiny_transcripts, concurrency=2,
-                           canon_driver_limit=0)
+    monkeypatch.setattr(canonicalize, "DRIVER_CLUSTER_LIMIT", 0)
+    dist = run_kg_pipeline(tiny_transcripts, concurrency=2)
     f_edges = fast["edges"].to_pandas()
     d_edges = dist["edges"].to_pandas()
     key = lambda df: set(zip(df["subj_id"], df["pred"], df["obj_id"],
@@ -145,56 +146,95 @@ def test_full_pipeline_with_distributed_canon_path(ray_session, tiny_transcripts
             == set(zip(d_nodes["canonical_id"], d_nodes["n_mentions"])))
 
 
-def test_full_pipeline_auto_routes_join_canon_apply(ray_session, kg_result,
-                                                    tiny_transcripts):
-    """canon_broadcast_limit=0 forces the join-route canon APPLICATION
-    through the full pipeline (triples AND nodes AND edges) — the output
-    must equal the broadcast route's exactly."""
+_TABLE_KEYS = (
+    ("triples", ["conv_id", "turn_idx", "pred", "subj", "obj"]),
+    ("nodes", ["canonical_id"]),
+    ("edges", ["subj_id", "pred", "obj_id"]),
+    ("errors", ["conv_id", "turn_idx"]),
+)
+
+
+def _assert_tables_equal(want, got):
+    """Each graph table in ``got`` equals ``want`` row for row, with the same
+    columns in the same order."""
     import pandas as pd
 
-    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
-
-    joined = run_kg_pipeline(tiny_transcripts, concurrency=2,
-                             canon_broadcast_limit=0)
-    for name, key in (
-        ("triples", ["conv_id", "turn_idx", "pred", "subj", "obj"]),
-        ("nodes", ["canonical_id"]),
-        ("edges", ["subj_id", "pred", "obj_id"]),
-    ):
-        b = kg_result[name]
-        j = joined[name].to_pandas()
-        cols = sorted(b.columns)
-        assert sorted(j.columns) == cols, name
+    for name, key in _TABLE_KEYS:
+        assert list(got[name].columns) == list(want[name].columns), name
         pd.testing.assert_frame_equal(
-            b[cols].sort_values(key).reset_index(drop=True),
-            j[cols].sort_values(key).reset_index(drop=True),
+            want[name].sort_values(key).reset_index(drop=True),
+            got[name].sort_values(key).reset_index(drop=True),
         )
 
 
-def test_materialize_auto_routes_join_canon_apply(ray_session,
-                                                  tiny_transcripts, tmp_path):
-    """materialize_kg with canon_broadcast_limit=0 (join route) writes the
-    same graph tables as the default broadcast route."""
-    import pandas as pd
+def _count_hash_joins(monkeypatch):
+    from ontonotes_5_parsing_ray.pipelines import kg
+
+    joins = []
+    real_join = kg.hash_join
+    monkeypatch.setattr(kg, "hash_join",
+                        lambda *a, **k: joins.append(1) or real_join(*a, **k))
+    return joins
+
+
+def _materialized(tiny_transcripts, out_dir):
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
 
-    out_b = materialize_kg(tiny_transcripts, str(tmp_path / "bcast"),
+    paths = materialize_kg(tiny_transcripts, out_dir,
                            num_partitions=2, concurrency=2)
-    out_j = materialize_kg(tiny_transcripts, str(tmp_path / "join"),
-                           num_partitions=2, concurrency=2,
-                           canon_broadcast_limit=0)
-    for name, key in (("triples", ["conv_id", "turn_idx", "pred", "subj", "obj"]),
-                      ("nodes", ["canonical_id"]),
-                      ("edges", ["subj_id", "pred", "obj_id"])):
-        b = rd.read_parquet(out_b[name]).to_pandas()
-        j = rd.read_parquet(out_j[name]).to_pandas()
-        cols = sorted(b.columns)
-        pd.testing.assert_frame_equal(
-            b[cols].sort_values(key).reset_index(drop=True),
-            j[cols].sort_values(key).reset_index(drop=True),
-        )
+    return {name: rd.read_parquet(paths[name]).to_pandas()
+            for name, _ in _TABLE_KEYS}
+
+
+def test_full_pipeline_auto_routes_join_canon_apply(ray_session, kg_result,
+                                                    tiny_transcripts,
+                                                    monkeypatch):
+    """BROADCAST_LIMIT=0 forces the join-route canon APPLICATION through the
+    full pipeline (triples AND nodes AND edges) — the output must equal the
+    broadcast route's exactly."""
+    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+    from ontonotes_5_parsing_ray.stages import canonicalize
+
+    joins = _count_hash_joins(monkeypatch)
+    monkeypatch.setattr(canonicalize, "BROADCAST_LIMIT", 0)
+    joined = {name: ds.to_pandas() for name, ds in
+              run_kg_pipeline(tiny_transcripts, concurrency=2).items()}
+    # (subj, obj, mention surface) lookups
+    assert len(joins) == 3
+    _assert_tables_equal(kg_result, joined)
+
+
+def test_materialize_auto_routes_join_canon_apply(ray_session, kg_result,
+                                                  tiny_transcripts, tmp_path,
+                                                  monkeypatch):
+    """materialize_kg with BROADCAST_LIMIT=0 (join route) writes the same
+    graph tables as the default broadcast route."""
+    from ontonotes_5_parsing_ray.stages import canonicalize
+
+    joins = _count_hash_joins(monkeypatch)
+    monkeypatch.setattr(canonicalize, "BROADCAST_LIMIT", 0)
+    written = _materialized(tiny_transcripts, str(tmp_path / "join"))
+    assert len(joins) == 3
+    _assert_tables_equal(kg_result, written)
+
+
+def test_entry_points_agree_on_broadcast_route(ray_session, kg_result,
+                                               tiny_transcripts, tmp_path,
+                                               monkeypatch):
+    """run_kg_pipeline and materialize_kg share build_graph: on the default
+    broadcast route neither uses the hash join, and both produce the default
+    build's triples / nodes / edges / errors exactly."""
+    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+
+    joins = _count_hash_joins(monkeypatch)
+    built = {name: ds.to_pandas() for name, ds in
+             run_kg_pipeline(tiny_transcripts, concurrency=2).items()}
+    written = _materialized(tiny_transcripts, str(tmp_path / "bcast"))
+    assert joins == []
+    _assert_tables_equal(kg_result, built)
+    _assert_tables_equal(kg_result, written)
 
 
 def test_surface_forms_capped_topn(ray_session):
@@ -247,8 +287,9 @@ def test_surface_forms_capped_topn(ray_session):
     assert int(node["n_mentions"]) == sum(n_forms - i for i in range(n_forms))
 
 
-def test_node_edge_combine_routes_equal(ray_session, tiny_transcripts):
-    """driver_combine_limit=0 forces the distributed node/edge combines;
+def test_node_edge_combine_routes_equal(ray_session, tiny_transcripts,
+                                        monkeypatch):
+    """PREAGG_DRIVER_LIMIT=0 forces the distributed node/edge combines;
     output must equal the driver fast path row-for-row."""
     import pandas as pd
     import ray
@@ -263,6 +304,7 @@ def test_node_edge_combine_routes_equal(ray_session, tiny_transcripts):
         split_linked,
         surfaces_for_canon,
     )
+    from ontonotes_5_parsing_ray.stages import relational
     from ontonotes_5_parsing_ray.stages.canonicalize import (
         build_canon_map,
         canon_map_to_dict,
@@ -283,11 +325,11 @@ def test_node_edge_combine_routes_equal(ray_session, tiny_transcripts):
             .reset_index(drop=True)
 
     e_drv = norm(build_edges(ct).to_pandas())
-    e_dist = norm(build_edges(ct, driver_combine_limit=0).to_pandas())
-    pd.testing.assert_frame_equal(e_drv, e_dist)
     n_drv = norm(build_nodes(mentions, ref).to_pandas())
-    n_dist = norm(build_nodes(mentions, ref,
-                              driver_combine_limit=0).to_pandas())
+    monkeypatch.setattr(relational, "PREAGG_DRIVER_LIMIT", 0)
+    e_dist = norm(build_edges(ct).to_pandas())
+    n_dist = norm(build_nodes(mentions, ref).to_pandas())
+    pd.testing.assert_frame_equal(e_drv, e_dist)
     pd.testing.assert_frame_equal(n_drv, n_dist)
     assert len(e_drv) > 0 and len(n_drv) > 0
 

@@ -146,3 +146,23 @@ def test_materialize_without_dead_letters(ray_session, tiny_table, tmp_path):
     assert rd.read_parquet(out["triples"]).count() > 100
     out2 = materialize_kg(src, out_dir, num_partitions=2, concurrency=2)
     assert pq.read_table(out2["errors"]).num_rows == 0
+
+
+def test_resume_builds_no_graph_tables(ray_session, tiny_transcripts,
+                                       tmp_path, monkeypatch):
+    """Stage-level resume: after a completed run, a rerun must not build
+    nodes or edges again (every graph-table stage has its marker)."""
+    from ontonotes_5_parsing_ray.pipelines import kg
+    from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
+
+    out_dir = str(tmp_path / "kg_resume")
+    first = materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
+                           concurrency=2)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a resumed stage was rebuilt")
+
+    monkeypatch.setattr(kg, "build_nodes", boom)
+    monkeypatch.setattr(kg, "build_edges", boom)
+    assert materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
+                          concurrency=2) == first

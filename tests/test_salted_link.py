@@ -76,10 +76,12 @@ def test_salted_pipeline_end_to_end_matches_oracle(ray_session, skewed_transcrip
 
 
 def test_salted_copartition_phase_c_equals_broadcast(ray_session,
-                                                     skewed_transcripts):
-    """resolution_broadcast_limit=0 forces the co-partitioned phase C (no
+                                                     skewed_transcripts,
+                                                     monkeypatch):
+    """RESOLUTION_BROADCAST_LIMIT=0 forces the co-partitioned phase C (no
     driver dicts); output must equal both the broadcast salted route and
     plain linking."""
+    from ontonotes_5_parsing_ray.pipelines import kg
     from ontonotes_5_parsing_ray.pipelines.kg import (
         annotate,
         link_salted,
@@ -92,8 +94,8 @@ def test_salted_copartition_phase_c_equals_broadcast(ray_session,
     ).materialize()
 
     bcast = link_salted(annotated, bucket_size=16).materialize()
-    copart = link_salted(annotated, bucket_size=16,
-                         resolution_broadcast_limit=0).materialize()
+    monkeypatch.setattr(kg, "RESOLUTION_BROADCAST_LIMIT", 0)
+    copart = link_salted(annotated, bucket_size=16).materialize()
 
     bm, bt = (x.to_pandas() for x in split_linked(bcast))
     cm, ct = (x.to_pandas() for x in split_linked(copart))
@@ -130,9 +132,11 @@ def adversarial_transcripts(ray_session):
 
 
 def test_adversarial_routes_triple_equality(ray_session,
-                                            adversarial_transcripts):
+                                            adversarial_transcripts,
+                                            monkeypatch):
     """plain link == salted broadcast == salted co-partitioned phase C,
     triple-for-triple and mention-for-mention, on the adversarial mix."""
+    from ontonotes_5_parsing_ray.pipelines import kg
     from ontonotes_5_parsing_ray.pipelines.kg import (
         annotate,
         link,
@@ -147,9 +151,9 @@ def test_adversarial_routes_triple_equality(ray_session,
     routes = {
         "plain": link(annotated).materialize(),
         "salted": link_salted(annotated, bucket_size=16).materialize(),
-        "copart": link_salted(annotated, bucket_size=16,
-                              resolution_broadcast_limit=0).materialize(),
     }
+    monkeypatch.setattr(kg, "RESOLUTION_BROADCAST_LIMIT", 0)
+    routes["copart"] = link_salted(annotated, bucket_size=16).materialize()
     frames = {}
     for name, linked in routes.items():
         m, t = (x.to_pandas() for x in split_linked(linked))
