@@ -41,7 +41,6 @@ def _cmd_run_kg(args: argparse.Namespace) -> int:
         num_partitions=args.num_partitions,
         canon_threshold=args.canon_threshold,
         concurrency=args.concurrency,
-        salted_bucket_size=args.salted_bucket_size,
         resume=not args.no_resume,
     )
     print(json.dumps({"tables": out}))
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-partitions", type=int, default=16)
     p.add_argument("--canon-threshold", type=float, default=None)
     p.add_argument("--concurrency", type=int, default=None)
-    p.add_argument("--salted-bucket-size", type=int, default=None)
     p.add_argument("--no-resume", action="store_true",
                    help="ignore existing checkpoint markers and rerun all")
     p.set_defaults(fn=_cmd_run_kg)

@@ -201,77 +201,75 @@ def link_conversation(
 
 
 # --------------------------------------------------------------------------
-# Salted (two-phase) linking for skewed long conversations
+# Salted (bucketed) linking: bounded groups for skewed long conversations
 # --------------------------------------------------------------------------
 # A 10^7-turn conversation cannot be one map_groups group. The fold above
 # decomposes: the only cross-bucket state is (ordered first-appearance norm
-# list, last-entity). So linking runs as
-#   phase A: groupby((conv_id, turn_bucket)) -> per-bucket partials: bulk
-#            mention/triple rows finalized EXCEPT chain ids (they carry the
-#            norm) and "leading pronouns" (pronouns before the bucket's
-#            first entity, pending on the previous bucket's last entity);
-#   phase B: groupby(conv_id) over ONLY the tiny per-bucket summaries ->
-#            global chain-id map + pending resolutions;
-#   phase C: map_batches over the bulk rows applying the (broadcast)
-#            resolutions.
-# Identical output to link_conversation — asserted by tests on skewed data.
+# list, last entity). So ``pipelines/kg.py:link`` runs it per turn bucket
+# (``max(turn_idx, 0) // LINK_BUCKET_TURNS``):
+#   phase A: link_bucket_partial per (conv_id, bucket) -> rows final EXCEPT
+#            local chain ids and "leading pronouns" (pronouns before the
+#            bucket's first entity, PENDING on the previous buckets' last
+#            entity). Bucket 0 has no earlier bucket, so it is finalized in
+#            place: local ids are global, leading pronouns unresolved;
+#   phase B: only for conversations with rows past bucket 0 —
+#            merge_bucket_summaries over per-bucket summaries -> global
+#            chain ids + the entity carried into each bucket;
+#   phase C: apply them to those conversations' later-bucket rows.
+# Identical output to link_conversation — asserted row for row (errors too)
+# by tests/test_salted_link.py::test_salted_equals_plain,
+# ::test_salted_copartition_phase_c_equals_broadcast,
+# ::test_adversarial_routes_triple_equality and
+# ::test_default_bucket_giant_conversation_equals_oracle, and on random
+# payloads, bucket sizes 1-8 and negative / gapped turn ids by
+# tests/test_properties.py::test_bucketed_link_equals_link_conversation.
 
 PENDING = "\x00PENDING"
 
 
 def link_bucket_partial(
     turns: Sequence[Tuple[int, Sequence[Dict[str, object]], Sequence[Tuple[Span, str]]]],
-) -> Dict[str, object]:
-    """Phase A: fold one turn-bucket with UNKNOWN incoming state.
+    first: bool,
+) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
+    """Phase A: :func:`link_conversation` over one turn-bucket.
 
-    Returns ``mentions``/``triples`` bulk rows (chain ids deferred: rows
-    carry ``norm``; leading pronouns carry ``pending_key``), plus the bucket
-    summary (``new_norms`` in first-appearance order, ``last_entity`` out,
-    ``pending_keys``).
+    Returns the same ``(mention_rows, triple_rows)``, with chain ids in the
+    bucket's own first-appearance order of norms. For the ``first`` bucket
+    nothing precedes it, so these ARE ``link_conversation``'s rows. For a
+    later bucket two parts are deferred: its chain ids are LOCAL, and a
+    leading pronoun — one before the bucket's first entity — has
+    ``entity_type`` and ``antecedent`` ``PENDING`` (chain id -1), as does a
+    triple argument that is one (``subj``/``obj`` and its type). Every
+    leading pronoun of a bucket resolves to the same carried entity.
     """
-    new_norms: List[str] = []
-    seen_norms = set()
+    unknown = (None, "PRON") if first else (PENDING, PENDING)
+    chain_of_norm: Dict[str, int] = {}
     last_entity: Optional[Dict[str, object]] = None
     mention_rows: List[Dict[str, object]] = []
     triple_rows: List[Dict[str, object]] = []
-    pending_keys: List[str] = []
     for turn_idx, mentions, verbs in turns:
         resolved: Dict[Tuple[int, int], Dict[str, object]] = {}
         for m in mentions:
-            key = f"{turn_idx}:{m['start']}:{m['end']}"
-            if m["is_pronoun"]:
-                if last_entity is not None:
-                    row = {
-                        "turn_idx": turn_idx, "start": m["start"], "end": m["end"],
-                        "surface": m["surface"], "is_pronoun": True,
-                        "entity_type": last_entity["entity_type"],
-                        "norm": last_entity["norm"],
-                        "antecedent": last_entity["surface"],
-                        "pending_key": "",
-                    }
-                else:
-                    row = {
-                        "turn_idx": turn_idx, "start": m["start"], "end": m["end"],
-                        "surface": m["surface"], "is_pronoun": True,
-                        "entity_type": PENDING, "norm": PENDING,
-                        "antecedent": PENDING, "pending_key": key,
-                    }
-                    pending_keys.append(key)
-            else:
+            if not m["is_pronoun"]:
                 norm = normalize_surface(m["surface"])  # type: ignore[arg-type]
-                if norm not in seen_norms:
-                    seen_norms.add(norm)
-                    new_norms.append(norm)
-                row = {
-                    "turn_idx": turn_idx, "start": m["start"], "end": m["end"],
-                    "surface": m["surface"], "is_pronoun": False,
-                    "entity_type": m["entity_type"], "norm": norm,
-                    "antecedent": None, "pending_key": "",
-                }
                 last_entity = {
-                    "surface": m["surface"], "norm": norm,
-                    "entity_type": m["entity_type"],
+                    "surface": m["surface"], "entity_type": m["entity_type"],
+                    "chain_id": chain_of_norm.setdefault(norm, len(chain_of_norm)),
                 }
+                chain_id, antecedent = last_entity["chain_id"], None
+                ent_type = m["entity_type"]
+            elif last_entity is not None:
+                chain_id = last_entity["chain_id"]
+                antecedent = last_entity["surface"]
+                ent_type = last_entity["entity_type"]
+            else:
+                chain_id, (antecedent, ent_type) = -1, unknown
+            row = {
+                "turn_idx": turn_idx, "start": m["start"], "end": m["end"],
+                "surface": m["surface"], "entity_type": ent_type,
+                "is_pronoun": m["is_pronoun"], "chain_id": chain_id,
+                "antecedent": antecedent,
+            }
             mention_rows.append(row)
             resolved[(m["start"], m["end"])] = row  # type: ignore[index]
         for t in extract_turn_triples(mentions, verbs):
@@ -279,38 +277,32 @@ def link_bucket_partial(
             o = resolved[(t["obj_start"], t["obj_end"])]  # type: ignore[index]
             subj = s["antecedent"] if s["is_pronoun"] else s["surface"]
             obj = o["antecedent"] if o["is_pronoun"] else o["surface"]
+            if subj is None or obj is None:
+                continue  # unresolved pronoun
             triple_rows.append({
                 "turn_idx": turn_idx, "pred": t["pred"],
                 "subj": subj, "obj": obj,
                 "subj_type": s["entity_type"], "obj_type": o["entity_type"],
-                "subj_pending": s["pending_key"], "obj_pending": o["pending_key"],
             })
-    return {
-        "mentions": mention_rows,
-        "triples": triple_rows,
-        "new_norms": new_norms,
-        "last_entity": last_entity,
-        "pending_keys": pending_keys,
-    }
+    return mention_rows, triple_rows
 
 
 def merge_bucket_summaries(
     summaries: Sequence[Dict[str, object]],
-) -> Tuple[Dict[str, int], Dict[str, Optional[Dict[str, str]]]]:
-    """Phase B: combine per-bucket summaries (sorted by bucket index) into
-    the conversation's ``norm -> chain_id`` map and the resolution for every
-    pending (leading-pronoun) key: the carried last entity, or ``None`` when
-    no entity precedes it in the whole conversation.
+) -> Tuple[Dict[str, int], List[Optional[Dict[str, str]]]]:
+    """Phase B: combine one conversation's bucket summaries (sorted by
+    bucket index; ``new_norms`` in first-appearance order, ``last_entity``
+    out or ``None``) into its ``norm -> chain_id`` map and, per summary, the
+    entity carried into that bucket (``None`` when no entity precedes it in
+    the whole conversation).
     """
     chain_of_norm: Dict[str, int] = {}
-    resolutions: Dict[str, Optional[Dict[str, str]]] = {}
+    carried_in: List[Optional[Dict[str, str]]] = []
     carried: Optional[Dict[str, str]] = None
     for s in summaries:
-        for key in s["pending_keys"]:  # type: ignore[union-attr]
-            resolutions[key] = dict(carried) if carried is not None else None
+        carried_in.append(carried)
         for norm in s["new_norms"]:  # type: ignore[union-attr]
-            if norm not in chain_of_norm:
-                chain_of_norm[norm] = len(chain_of_norm)
+            chain_of_norm.setdefault(norm, len(chain_of_norm))
         if s["last_entity"] is not None:
-            carried = dict(s["last_entity"])  # type: ignore[arg-type]
-    return chain_of_norm, resolutions
+            carried = s["last_entity"]  # type: ignore[assignment]
+    return chain_of_norm, carried_in

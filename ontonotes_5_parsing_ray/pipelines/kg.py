@@ -4,7 +4,9 @@ Ray-Data-first composition (SURVEY.md §3.4):
 
     read_parquet (pruned columns)
       -> map_batches(annotate_turns)              [fused tasks, Arrow batches]
-      -> groupby(hash(conv) % P).map_groups      [stable turn order + coref]
+      -> groupby(salted (conv, turn bucket) % P)  [stable turn order + coref;
+         .map_groups                               bucket 0 finalized in place]
+      -> phases B/C, only for conversations past one bucket
       -> canonicalization (MinHash/LSH + min-label components)
       -> build_graph: attach canonical surfaces   [broadcast dict or join]
       -> pre-aggregated combines -> nodes / edges
@@ -16,8 +18,10 @@ call it, and it makes the broadcast-vs-join choice for canon application.
 
 Scale notes
 -----------
-* The only whole-conversation shuffle is the linking groupby — inherent to
-  coref semantics. Everything upstream is embarrassingly block-parallel.
+* The only turn shuffle is the linking groupby, keyed by salted turn
+  buckets so no group grows with a conversation's length; conversations
+  longer than one bucket add a merge over per-bucket summaries and one map
+  (:func:`link`). Everything upstream is embarrassingly block-parallel.
 * Canonicalization shuffles *distinct surfaces*, not mentions (map-side
   distinct first), then broadcasts the resulting map back (``ray.put`` once,
   read per task) — no second all-to-all over the mention table. A map too
@@ -39,20 +43,19 @@ import ray
 import ray.data as rd
 
 from ..functions.canon import DEFAULT_THRESHOLD, canonical_entity_id
-from ..functions.hashing import hash64_vec, partition_vec
+from ..functions.hashing import hash64_vec
 from ..functions.kgrules import normalize_surface
 from ..stages import canonicalize, relational
 from ..stages.annotate import annotate_turns
 from ..stages.canonicalize import build_canon_map, canon_map_to_dict
 from ..stages.link import (
-    _BULK_EMPTY,
-    BULK_COLUMNS,
-    finalize_bulk_rows,
-    finalize_partition_group,
-    link_bucket_partition,
-    link_partition_group,
-    resolution_dicts,
-    resolve_conv_partition,
+    _spanning_convs,
+    _turn_bucket,
+    apply_resolutions,
+    bucket_summaries,
+    finalize_partition,
+    link_partition,
+    resolve_buckets,
 )
 from ..stages.relational import hash_join
 
@@ -101,12 +104,9 @@ def read_transcripts(path: str) -> rd.Dataset:
     return rd.read_parquet(path, columns=cols)
 
 
-LINK_COLUMNS = ["conv_id", "turn_idx", "ok", "link_json", "error", "ts", "lang"]
-
-
 def _prov_columns(batch: pa.Table) -> pa.Table:
     """Normalize provenance: ``ts`` -> int64 epoch-µs (resolution-explicit),
-    ``lang`` -> string; inputs lacking either get -1 / "" so every link path
+    ``lang`` -> string; inputs lacking either get -1 / "" so the linker always
     sees one schema. Timestamp-typed ``ts`` is cast THROUGH timestamp('us')
     first — a bare int64 cast keeps the source unit, so pandas-default ns
     parquet would yield epoch-ns (1000x the documented µs). Nulls become -1
@@ -155,168 +155,102 @@ def annotate(
 
 LINK_PARTITIONS = 64
 
+# Turns per salted link bucket: the bound on one phase-A group's length.
+LINK_BUCKET_TURNS = 512
 
-def link(annotated: rd.Dataset, num_partitions: int = LINK_PARTITIONS) -> rd.Dataset:
-    """One grouping pass produces mentions + triples + the error channel.
-
-    Only the compact ``link_json`` payload crosses the shuffle, and the
-    shuffle key is ``hash(conv_id) % P`` — every conversation still lands
-    whole (coref locality) but the corpus forms ``P`` bounded groups, not
-    one pandas group per conversation (billions at 100 TB). The per-conv
-    kernel runs inside :func:`link_partition_group`."""
-    turns = annotated.map_batches(_prov_columns, batch_format="pyarrow")
-    with_part = turns.map_batches(
-        lambda t: t.append_column("part", pa.array(
-            partition_vec(t.column("conv_id").to_numpy(zero_copy_only=False),
-                          num_partitions), pa.int32())),
-        batch_format="pyarrow",
-    )
-    return with_part.groupby("part").map_groups(
-        lambda g: link_partition_group(g.drop(columns=["part"])),
-        batch_format="pandas",
-    )
-
-
-# Resolution-row count above which phase C of the salted linker switches
-# from the broadcast-dict fast path to the co-partitioned groupby route
-# (resolutions are O(entity vocabulary + leading pronouns) — tiny relative
-# to mentions, but unbounded in principle).
+# Count of spanning conversations (rows past bucket 0) above which phases B
+# and C of :func:`link` run co-partitioned instead of through driver dicts:
+# their state is O(those conversations' buckets and chains) — tiny relative
+# to mentions, but unbounded in principle.
 RESOLUTION_BROADCAST_LIMIT = 2_000_000
 
 
-def link_salted(annotated: rd.Dataset, bucket_size: int = 512) -> rd.Dataset:
-    """Skew-safe linking: the salted-key two-phase variant (north_rule).
+def link(annotated: rd.Dataset) -> rd.Dataset:
+    """One grouping pass produces mentions + triples + the error channel.
 
-    Phase A groups by the salted key ``(conv_id, turn_idx // bucket_size)``
-    so no group ever exceeds ``bucket_size`` turns — a 10^7-turn conversation
-    becomes 20k bounded groups instead of one giant one. Phase B reduces the
-    per-bucket *summaries only* (tiny) per conv_id. Phase C applies the
-    resolutions. Output is identical to :func:`link` (asserted by tests on
-    skewed data).
+    Only the compact ``link_json`` payload crosses the shuffle. The key is
+    the salted bucket ``(conv_id, max(turn_idx, 0) // LINK_BUCKET_TURNS)``,
+    spread over ``LINK_PARTITIONS`` bounded groups; bucket 0 goes to
+    ``hash(conv_id) % LINK_PARTITIONS``, so a giant conversation's later
+    buckets spread across partitions while each group stays bounded.
+    Phase A (``link_partition``) finalizes every bucket 0 in place, so a
+    conversation shorter than one bucket is done after this one exchange.
+    One check of the phase-A output finds the conversations with rows past
+    bucket 0; only those pay for phases B (merge) and C (apply), through
+    driver dicts up to ``RESOLUTION_BROADCAST_LIMIT`` of them and
+    co-partitioned by ``hash(conv_id)`` above it. Output is identical to
+    ``kgrules.link_conversation`` per conversation."""
+    bucket_turns = LINK_BUCKET_TURNS
 
-    Phase C auto-routes on resolution count: at or below
-    ``RESOLUTION_BROADCAST_LIMIT`` the resolutions become driver dicts
-    broadcast via ``ray.put`` (fast path); above it nothing touches the
-    driver — bulk rows and resolution rows are CO-PARTITIONED by
-    ``hash(conv_id) % P`` in one groupby and the identical finalize kernel
-    runs per partition with partition-local dicts (one more bounded
-    exchange, same semantics, tested equal).
-    """
-
-    def add_bucket_part(t: pa.Table) -> pa.Table:
-        bucket = pc.cast(pc.floor(pc.divide(
-            pc.cast(t.column("turn_idx"), pa.float64()),
-            float(bucket_size))), pa.int64())
-        # salted key = mix(hash(conv), bucket): vectorized, no per-row
-        # f-string/hash call; any deterministic mix spreads hot convs
+    def add_part(t: pa.Table) -> pa.Table:
         conv_h = hash64_vec(t.column("conv_id").to_numpy(zero_copy_only=False))
-        b_np = bucket.to_numpy(zero_copy_only=False).astype(np.uint64)
-        mixed = conv_h ^ (b_np * np.uint64(0x9E3779B97F4A7C15))
-        part = pa.array((mixed % np.uint64(LINK_PARTITIONS)).astype(np.int32),
-                        pa.int32())
-        return t.append_column("bucket", bucket).append_column("part", part)
+        bucket = _turn_bucket(t.column("turn_idx").to_numpy(zero_copy_only=False),
+                             bucket_turns).astype(np.uint64)
+        # vectorized mix(hash(conv), bucket); bucket 0 leaves hash(conv)
+        mixed = conv_h ^ (bucket * np.uint64(0x9E3779B97F4A7C15))
+        return t.append_column("part", pa.array(
+            (mixed % np.uint64(LINK_PARTITIONS)).astype(np.int32), pa.int32()))
 
-    turns = annotated.map_batches(
+    linked = annotated.map_batches(
         _prov_columns, batch_format="pyarrow"
-    ).map_batches(add_bucket_part, batch_format="pyarrow")
-    # hash((conv, bucket)) partitions: a 10^7-turn conversation's buckets
-    # SPREAD across partitions (the salting goal) while each (conv, bucket)
-    # group stays whole; P bounded pandas groups, not one per bucket.
-    bulk = turns.groupby("part").map_groups(
-        lambda g: link_bucket_partition(g.drop(columns=["part"])),
+    ).map_batches(add_part, batch_format="pyarrow").groupby("part").map_groups(
+        lambda g: link_partition(g.drop(columns=["part"]), bucket_turns),
         batch_format="pandas",
     ).materialize()
+    spanning = set(_collect(_on_blocks(
+        linked, lambda b: _spanning_convs(b, bucket_turns)))["conv_id"])
+    if not spanning:
+        return linked
+    return _resolve_spanning(linked, spanning, bucket_turns)
 
-    def summary_rows(t: pa.Table) -> pa.Table:
-        s = t.filter(pc.equal(t.column("row_kind"), "summary")).select(
-            ["conv_id", "bucket", "summary_json"])
-        return s.append_column("rpart", pa.array(
-            partition_vec(s.column("conv_id").to_numpy(zero_copy_only=False),
-                          LINK_PARTITIONS), pa.int32()))
 
-    summaries = bulk.map_batches(summary_rows, batch_format="pyarrow")
-    resolutions_ds = summaries.groupby("rpart").map_groups(
-        lambda g: resolve_conv_partition(g.drop(columns=["rpart"])),
-        batch_format="pandas",
-    ).materialize()
+@ray.remote
+def _run_on_block(kernel: Callable[[pd.DataFrame], pd.DataFrame], block
+                  ) -> pd.DataFrame:
+    from ray.data.block import BlockAccessor
 
-    if resolutions_ds.count() <= RESOLUTION_BROADCAST_LIMIT:
-        chain_maps, pendings = resolution_dicts(resolutions_ds.to_pandas())
-        chains_ref = ray.put(chain_maps)
-        pendings_ref = ray.put(pendings)
+    return kernel(BlockAccessor.for_block(block).to_pandas())
 
-        def finalize(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch[batch["row_kind"] != "summary"]
-            return finalize_bulk_rows(
-                batch, ray.get(chains_ref), ray.get(pendings_ref))
 
-        return bulk.map_batches(finalize, batch_format="pandas")
+def _on_blocks(ds: rd.Dataset, kernel: Callable[[pd.DataFrame], pd.DataFrame]
+               ) -> List[ray.ObjectRef]:
+    """``kernel`` over each non-empty block of a materialized Dataset, as
+    one plain Ray task per block: no Dataset execution and no empty output
+    blocks for these small, already-partitioned passes."""
+    return [_run_on_block.remote(kernel, b)
+            for bundle in ds.iter_internal_ref_bundles()
+            for b, meta in bundle.blocks if meta.num_rows]
 
-    # Co-partitioned phase C: align both streams on one superset schema
-    # (resolution rows ride as row_kind='resolution'), hash(conv) % P, one
-    # grouping pass applies the shared finalize kernel per partition.
-    EXTRA = ["kind", "key", "chain_id"]
 
-    def bulk_superset(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(pc.equal(t.column("row_kind"), "summary")))
-        n = len(t)
-        t = (t.append_column("kind", pa.array([""] * n, pa.string()))
-              .append_column("key", pa.array([""] * n, pa.string()))
-              .append_column("chain_id", pa.array([-1] * n, pa.int64())))
-        part = pa.array(
-            partition_vec(t.column("conv_id").to_numpy(zero_copy_only=False),
-                          LINK_PARTITIONS), pa.int32())
-        return t.select(BULK_COLUMNS + EXTRA).append_column("part", part)
+def _collect(refs: List[ray.ObjectRef]) -> pd.DataFrame:
+    frames = ray.get(refs)
+    return (pd.concat(frames, ignore_index=True) if frames
+            else pd.DataFrame({"conv_id": []}))
 
-    def _superset_type(c: str) -> pa.DataType:
-        v = _BULK_EMPTY.get(c, "")
-        if isinstance(v, bool):
-            return pa.bool_()
-        return pa.int64() if isinstance(v, int) else pa.string()
 
-    def res_superset(batch: pd.DataFrame) -> pa.Table:
-        # explicit per-column Arrow types: an EMPTY resolution batch must
-        # not degrade to null-typed columns (the union with bulk_superset's
-        # typed schema would fail at runtime on the join route)
-        n = len(batch)
-        data = {}
-        for c in BULK_COLUMNS:
-            if c == "row_kind":
-                data[c] = pa.array(["resolution"] * n, pa.string())
-            elif c in ("conv_id", "surface", "norm", "entity_type"):
-                data[c] = pa.array(batch[c].astype(str), pa.string())
-            elif c == "bucket":
-                data[c] = pa.array([-1] * n, pa.int64())
-            else:
-                data[c] = pa.array([_BULK_EMPTY[c]] * n, _superset_type(c))
-        data["kind"] = pa.array(batch["kind"].astype(str), pa.string())
-        data["key"] = pa.array(batch["key"].astype(str), pa.string())
-        data["chain_id"] = pa.array(
-            batch["chain_id"].astype("int64").to_numpy(), pa.int64())
-        data["part"] = pa.array(
-            partition_vec(batch["conv_id"], LINK_PARTITIONS), pa.int32())
-        return pa.table(data)
-
-    merged = bulk.map_batches(bulk_superset, batch_format="pyarrow").union(
-        resolutions_ds.map_batches(res_superset, batch_format="pandas")
-    )
-    return merged.groupby("part").map_groups(
-        lambda g: finalize_partition_group(g.drop(columns=["part"])),
-        batch_format="pandas",
-    )
+def _resolve_spanning(linked: rd.Dataset, convs: set,
+                      bucket_turns: int) -> rd.Dataset:
+    """Phases B and C of :func:`link` for the conversations ``convs``:
+    driver dicts when they number at most ``RESOLUTION_BROADCAST_LIMIT``,
+    else one more exchange by ``hash(conv_id)`` that runs
+    ``finalize_partition`` per partition."""
+    if len(convs) > RESOLUTION_BROADCAST_LIMIT:
+        return relational.partition_map_groups(
+            linked, "conv_id", lambda g: finalize_partition(g, bucket_turns))
+    convs_ref = ray.put(convs)
+    summaries = _collect(_on_blocks(linked, lambda b: bucket_summaries(
+        b, ray.get(convs_ref), bucket_turns)))
+    res_ref = ray.put(resolve_buckets(summaries))
+    return rd.from_pandas_refs(_on_blocks(
+        linked, lambda b: apply_resolutions(b, ray.get(res_ref), bucket_turns)))
 
 
 def annotate_and_link(
     ds: rd.Dataset,
     concurrency: Optional[int] = None,
-    salted_bucket_size: Optional[int] = None,
 ) -> rd.Dataset:
-    """Annotate turns and link them into the union table: salted two-phase
-    linking when ``salted_bucket_size`` is set, else the one-pass linker."""
-    annotated = annotate(ds, concurrency=concurrency, emit="link")
-    if salted_bucket_size:
-        return link_salted(annotated, bucket_size=salted_bucket_size)
-    return link(annotated)
+    """Annotate turns and link them into the union table."""
+    return link(annotate(ds, concurrency=concurrency, emit="link"))
 
 
 def split_linked(linked: rd.Dataset):
@@ -600,7 +534,6 @@ def run_kg_pipeline(
     transcript_path: str,
     canon_threshold: float = DEFAULT_THRESHOLD,
     concurrency: Optional[int] = None,
-    salted_bucket_size: Optional[int] = None,
 ) -> Dict[str, rd.Dataset]:
     """Build the KG in memory; returns the component Datasets.
 
@@ -610,7 +543,7 @@ def run_kg_pipeline(
     builds the tables (and makes the broadcast-vs-join choice).
     """
     linked = annotate_and_link(read_transcripts(transcript_path),
-                               concurrency, salted_bucket_size).materialize()
+                               concurrency).materialize()
     canon_map = build_canon_map(
         surfaces_for_canon(*split_linked(linked)), threshold=canon_threshold,
     ).materialize()

@@ -91,7 +91,6 @@ def materialize_kg(
     num_partitions: int = 16,
     canon_threshold: float = DEFAULT_THRESHOLD,
     concurrency: Optional[int] = None,
-    salted_bucket_size: Optional[int] = None,
     resume: bool = True,
 ) -> Dict[str, str]:
     """Run the KG pipeline to durable, partitioned, resumable Parquet.
@@ -111,7 +110,7 @@ def materialize_kg(
 
     config_path = os.path.join(out_dir, "_CONFIG")
     # The FULL lineage-relevant config is part of the checkpoint: resuming
-    # with a different input, threshold or salting would silently mix stale
+    # with a different input or threshold would silently mix stale
     # and fresh partitions (markers alone don't validate what they recorded).
     from ..state.checkpoint import PARTITION_HASH
 
@@ -119,7 +118,6 @@ def materialize_kg(
         "num_partitions": num_partitions,
         "transcript_path": os.path.abspath(transcript_path),
         "canon_threshold": canon_threshold,
-        "salted_bucket_size": salted_bucket_size,
         "partition_hash": PARTITION_HASH,
     }
     if resume and os.path.isfile(config_path):
@@ -161,7 +159,7 @@ def materialize_kg(
             batch_format="pyarrow",
         )
         linked = _add_partition_col(
-            annotate_and_link(ds, concurrency, salted_bucket_size),
+            annotate_and_link(ds, concurrency),
             num_partitions,
         ).materialize()
         # Per-partition row counts (lineage metrics) via per-batch partials.

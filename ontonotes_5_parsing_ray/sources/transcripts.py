@@ -65,7 +65,7 @@ _POOLS: Dict[str, List[str]] = {"PERSON": _PERSON, "ORG": _ORG, "GPE": _GPE}
 GENERATOR_VERSION = 2
 
 
-def _conv_rows(
+def _turn_rows(
     conv_id: str,
     n_turns: int,
     rng: np.random.RandomState,
@@ -132,7 +132,7 @@ def build_transcripts_table(
             n_turns = skew_turns
         else:
             n_turns = 2 + int(rng.poisson(mean_turns))
-        all_rows.extend(_conv_rows(conv_id, n_turns, rng, unique_refs))
+        all_rows.extend(_turn_rows(conv_id, n_turns, rng, unique_refs))
     order = rng.permutation(len(all_rows))
     all_rows = [all_rows[i] for i in order]
     conv_id, turn_idx, role, text, tool, ts = zip(*all_rows)

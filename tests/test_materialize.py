@@ -59,8 +59,8 @@ def test_materialize_write_resume(ray_session, tiny_transcripts, tmp_path):
 
 
 def test_resume_rejects_config_drift(ray_session, tiny_transcripts, tmp_path):
-    """Resuming a checkpoint with a different input path / threshold /
-    salting must raise instead of silently mixing stale partitions."""
+    """Resuming a checkpoint with a different input path / threshold must
+    raise instead of silently mixing stale partitions."""
     import pytest
 
     from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
@@ -70,9 +70,34 @@ def test_resume_rejects_config_drift(ray_session, tiny_transcripts, tmp_path):
     with pytest.raises(ValueError, match="checkpoint"):
         materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
                        concurrency=2, canon_threshold=0.31)
-    with pytest.raises(ValueError, match="checkpoint"):
-        materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
-                       concurrency=2, salted_bucket_size=64)
+
+
+def test_resume_accepts_config_with_default_salting(ray_session,
+                                                    tiny_transcripts,
+                                                    tmp_path, monkeypatch):
+    """A checkpoint whose _CONFIG records the removed salting option at its
+    default (``"salted_bucket_size": null``) resumes with no stage rerun."""
+    import json
+
+    from ontonotes_5_parsing_ray.pipelines import materialize
+
+    materialize_kg = materialize.materialize_kg
+    out_dir = str(tmp_path / "kg_null_salt")
+    first = materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
+                           concurrency=2)
+    cfg_path = os.path.join(out_dir, "_CONFIG")
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    with open(cfg_path, "w") as fh:
+        json.dump({**cfg, "salted_bucket_size": None}, fh)
+
+    def rerun(*_args, **_kwargs):
+        raise AssertionError("a finished stage reran")
+
+    for name in ("annotate_and_link", "_write_stage"):
+        monkeypatch.setattr(materialize, name, rerun)
+    assert materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
+                          concurrency=2) == first
 
 
 def test_resume_accepts_older_config_subset(ray_session, tiny_transcripts,

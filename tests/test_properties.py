@@ -1,7 +1,10 @@
 """Property-based tests (hypothesis) — the oracle-free invariant style the
 reference uses for its Arabic fuzzy-alignment cases (SURVEY.md §5.4)."""
 
+import json
+
 import duckdb
+import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,3 +141,104 @@ def test_annotate_turn_text_dead_letter_contract(text, subwords):
         emit="both")
     assert out.column("ok").to_pylist() == [record is not None]
     assert out.column("error").to_pylist() == [reason]
+
+
+SURFACES = ["Acme", "acme", "ACME!", "Bolt Labs", "bolt labs", "Cora", "Dax"]
+
+
+@st.composite
+def link_payload(draw):
+    """One turn's ``link_json`` payload: mentions and verbs laid out left to
+    right (disjoint spans, sorted — ``turn_link_payload``'s contract)."""
+    mentions, verbs, pos = [], [], 0
+    for _ in range(draw(st.integers(0, 5))):
+        start = pos + draw(st.integers(1, 3))
+        pos = start + draw(st.integers(1, 4))
+        slot = draw(st.sampled_from(["entity", "entity", "pronoun", "verb"]))
+        if slot == "verb":
+            verbs.append([start, pos, draw(st.sampled_from(["meet", "hire"]))])
+        elif slot == "pronoun":
+            mentions.append([start, pos, draw(st.sampled_from(["he", "It"])),
+                             "PRON", True])
+        else:
+            mentions.append([start, pos, draw(st.sampled_from(SURFACES)),
+                             draw(st.sampled_from(["ORG", "PERSON"])), False])
+    return mentions, verbs
+
+
+@st.composite
+def annotated_convs(draw):
+    """Annotated turns of 1-3 conversations: ids start at or below zero and
+    have gaps (so runs straddle bucket boundaries); some turns dead-letter."""
+    rows = []
+    for c in range(draw(st.integers(1, 3))):
+        turn = draw(st.integers(-6, 2))
+        for _ in range(draw(st.integers(1, 14))):
+            turn += draw(st.integers(1, 6))
+            ok = draw(st.integers(0, 7)) > 0
+            rows.append({
+                "conv_id": f"c{c}", "turn_idx": turn, "ok": ok,
+                "link_json": json.dumps(draw(link_payload())) if ok else "",
+                "error": "" if ok else "cannot be aligned",
+                "ts": 1000 + turn, "lang": "en"})
+    order = draw(st.permutations(range(len(rows))))
+    return pd.DataFrame([rows[i] for i in order])
+
+
+def _union_sorted(df):
+    return df.sort_values(list(df.columns), kind="mergesort") \
+        .reset_index(drop=True)
+
+
+@given(annotated_convs(), st.integers(1, 8), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_bucketed_link_equals_link_conversation(turns, bucket_turns, n_chunks):
+    """The salted linker's kernels — phase A per bucket, then phase B
+    summaries + merge and phase C apply, both co-partitioned
+    (``finalize_partition``) and over arbitrary batches as the driver-dict
+    route runs them — give exactly ``link_conversation``'s rows."""
+    from ontonotes_5_parsing_ray.functions.kgrules import link_conversation
+    from ontonotes_5_parsing_ray.stages.link import (
+        _EMPTY,
+        UNION_COLUMNS,
+        _dtype,
+        _parse_payload,
+        _spanning_convs,
+        apply_resolutions,
+        bucket_summaries,
+        finalize_partition,
+        link_partition,
+        resolve_buckets,
+    )
+
+    expected = []
+    for conv, g in turns.sort_values("turn_idx").groupby("conv_id"):
+        base = {**_EMPTY, "conv_id": conv}
+        for r in g[~g["ok"]].itertuples():
+            expected.append({**base, "row_kind": "error",
+                             "turn_idx": r.turn_idx, "error": r.error})
+        ok = g[g["ok"]]
+        mentions, triples = link_conversation([
+            (t, *_parse_payload(p)) for t, p in zip(ok["turn_idx"], ok["link_json"])])
+        for m in mentions:
+            expected.append({**base, **m, "row_kind": "mention",
+                             "antecedent": m["antecedent"] or "",
+                             "ts": 1000 + m["turn_idx"], "lang": "en"})
+        for t in triples:
+            expected.append({**base, **t, "row_kind": "triple"})
+    expected = _union_sorted(pd.DataFrame(expected, columns=UNION_COLUMNS)
+                             .astype({c: _dtype(c) for c in UNION_COLUMNS}))
+
+    phase_a = link_partition(turns, bucket_turns)
+    assert list(phase_a.columns) == UNION_COLUMNS
+    co_partitioned = finalize_partition(phase_a, bucket_turns)
+    pd.testing.assert_frame_equal(_union_sorted(co_partitioned), expected)
+
+    chunks = [phase_a.iloc[i::n_chunks] for i in range(n_chunks)]
+    convs = set(pd.concat([_spanning_convs(c, bucket_turns)
+                           for c in chunks])["conv_id"])
+    resolutions = resolve_buckets(pd.concat(
+        [bucket_summaries(c, convs, bucket_turns) for c in chunks]))
+    by_batch = pd.concat([apply_resolutions(c, resolutions, bucket_turns)
+                          for c in chunks])
+    pd.testing.assert_frame_equal(_union_sorted(by_batch), expected)
