@@ -54,6 +54,12 @@ def partition_vec(values, num_buckets: int) -> np.ndarray:
     return (hash64_vec(values) % np.uint64(num_buckets)).astype(np.int32)
 
 
+def hash64_pair(a, b) -> np.ndarray:
+    """Vectorized 64-bit hash of each pair ``(a[i], b[i])`` (uint64 array):
+    the single key column a pair-keyed exchange partitions on."""
+    return hash64_vec(a) * np.uint64(0x9E3779B97F4A7C15) ^ hash64_vec(b)
+
+
 def char_shingles(s: str, k: int = 3) -> Set[str]:
     """Character k-shingles of a normalized string; whole string if shorter."""
     if len(s) <= k:

@@ -1267,8 +1267,7 @@ def events_hll_users_by_type(sf_dir: str) -> pd.DataFrame:
 
     from ..stages.relational import partition_map_groups
     out = partition_map_groups(
-        partials, "event_type", merge_kernel, num_partitions=16,
-    ).to_pandas()
+        partials, "event_type", merge_kernel).to_pandas()
     out["n_users_approx"] = out["n_users_approx"].astype(np.int64)
     return out.sort_values("event_type").reset_index(drop=True)
 
@@ -1868,18 +1867,13 @@ def emb_label_stats(sf_dir: str) -> pd.DataFrame:
 def transcript_ordering(sf_dir: str) -> rd.Dataset:
     """Derive a transcript view from documents (conv = source) and enforce
     stable turn ordering — the K3 invariant with a SQL twin (row_number over
-    partition). Shuffles by hash(conv) % P so each conversation lands whole
-    inside one of P bounded groups; ordering inside the partition is a
+    partition). One keyed exchange on ``source``
+    (:func:`relational.partition_map_groups`) lands each conversation whole
+    inside one bounded partition; ordering inside the partition is a
     single vectorized sort + per-conv cumcount (no per-conversation UDF)."""
-    from ..functions.hashing import partition_vec
+    from ..stages.relational import partition_map_groups
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
-    P = 64
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = partition_vec(
-            batch.column("source").to_numpy(zero_copy_only=False), P)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
 
     def order_partition(group: pd.DataFrame) -> pa.Table:
         g = group.sort_values(["source", "doc_id"], kind="mergesort")
@@ -1892,9 +1886,7 @@ def transcript_ordering(sf_dir: str) -> rd.Dataset:
         })
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return docs.map_batches(add_part, batch_format="pyarrow").groupby(
-        "part"
-    ).map_groups(order_partition, batch_format="pandas")
+    return partition_map_groups(docs, "source", order_partition)
 
 
 # --------------------------------------------------------------------------

@@ -28,9 +28,9 @@ import ray.data as rd
 
 import pyarrow as pa
 
-from ..functions.hashing import partition_vec
 from ..functions.spans import insert_span
 from ..functions.tagdist import build_reduction_rules
+from ..stages.relational import partition_map_groups
 from .stats import tag_frequencies_by_kind
 
 OUT_COLUMNS = ["conv_id", "turn_idx", "kind", "tag", "start", "end"]
@@ -89,37 +89,26 @@ def build_rules(annotations: rd.Dataset, max_types: int) -> Dict[str, Dict[str, 
 def rewrite_annotations(
     annotations: rd.Dataset,
     rules: Dict[str, Dict[str, str]],
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """PASS 2: rename tags via broadcast rules and merge collapsing spans.
 
     Spans merge *within a turn's (kind, canonical-tag) list* — which needs
     the rows of one turn together. Shuffling one group PER TURN (round 1)
     meant one pandas UDF call per corpus turn — the measured 76k-tiny-groups
-    anti-pattern. Instead we shuffle by conv-hash PARTITION (``P`` bounded
-    groups; every turn's rows land whole because the key is a function of
-    conv_id) and run the vectorized :func:`rewrite_frame` kernel per
-    partition. Size ``num_partitions`` so one partition's annotations fit a
-    worker heap (at 100 TB: thousands).
+    anti-pattern. Instead one :func:`relational.partition_map_groups`
+    exchange on ``conv_id`` moves every turn's rows whole into a bounded
+    number of partitions, and the vectorized :func:`rewrite_frame` kernel
+    runs once per partition. The partition count comes from
+    :func:`relational.exchange_partitions` (a CPU floor, raised by the
+    input bytes the plan knows).
     """
     rules_ref = ray.put(rules)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = partition_vec(
-            batch.column("conv_id").to_numpy(zero_copy_only=False),
-            num_partitions)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
-
     def rewrite_part(group: pd.DataFrame) -> pa.Table:
-        rls = ray.get(rules_ref)
-        out = rewrite_frame(group.drop(columns=["part"]), rls)
+        out = rewrite_frame(group, ray.get(rules_ref))
         return pa.Table.from_pandas(out[OUT_COLUMNS], preserve_index=False)
 
-    return (
-        annotations.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(rewrite_part, batch_format="pandas")
-    )
+    return partition_map_groups(annotations, "conv_id", rewrite_part)
 
 
 def reduce_tags(annotations: rd.Dataset, max_types: int) -> rd.Dataset:

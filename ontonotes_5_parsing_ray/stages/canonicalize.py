@@ -8,7 +8,8 @@ semantics, shuffle-aware execution (SURVEY.md §7.1 step 6):
    surfaces, not mentions);
 2. MinHash signatures + LSH band keys per surface (``map_batches``,
    fixed-seed permutations so every worker agrees);
-3. ``groupby(band_key).map_groups`` -> verified candidate pairs
+3. one keyed exchange on ``band_key``
+   (:func:`relational.partition_map_groups`) -> verified candidate pairs
    (exact Jaccard inside blocks only);
 4. connected components by iterative min-label propagation
    (``groupby(norm).aggregate(Min)`` per round, driver loop until the label
@@ -47,9 +48,9 @@ from ..functions.hashing import (
     MinHasher,
     char_shingles,
     hash64_vec,
-    partition_vec,
     stable_hash64,
 )
+from .relational import partition_map_groups
 
 # Broadcast-vs-shuffle switchover for applying the canon map. Tuned for a
 # 128 GiB-heap driver: ~50M short strings; beyond that, use the groupby join.
@@ -89,20 +90,16 @@ def band_keys(batch: pa.Table, num_perm: int = DEFAULT_NUM_PERM,
     })
 
 
-# Bounded shuffle width for the star-contraction rounds: directed edge rows
-# are bucketed by hash(center) so each round is P vectorized pandas groups,
-# never one group per node. Size so one bucket's edges fit a worker heap.
-STAR_PARTITIONS = 64
-
-
-def _star_round(D: rd.Dataset, large: bool, num_partitions: int) -> rd.Dataset:
+def _star_round(D: rd.Dataset, large: bool) -> rd.Dataset:
     """One large-star or small-star contraction over undirected edges (a<b).
 
     large-star(x): m = min(N(x) ∪ {x}); connect every LARGER neighbor to m.
     small-star(x): over smaller neighbors only; m = min(N⁻(x)); connect
     every y ∈ N⁻(x) ∪ {x} (≠ m) to m. Both emit (a=m, b=other) with m < other,
-    preserving the a<b invariant. Per-center state is vectorized pandas
-    (transform('min')) inside hash(center)-bucketed groups.
+    preserving the a<b invariant. Directed edge rows go through one
+    :func:`relational.partition_map_groups` exchange on the center, so each
+    round is a bounded number of vectorized pandas groups (transform('min')
+    per center), never one group per node.
     """
 
     def directed(batch: pa.Table) -> pa.Table:
@@ -112,11 +109,9 @@ def _star_round(D: rd.Dataset, large: bool, num_partitions: int) -> rd.Dataset:
             xs, ys = a + b, b + a
         else:
             xs, ys = b, a  # center = larger endpoint
-        part = partition_vec(np.asarray(xs, dtype=object), num_partitions)
         return pa.table({
             "x": pa.array(xs, pa.string()),
             "y": pa.array(ys, pa.string()),
-            "part": pa.array(part, pa.int32()),
         })
 
     def star(group: pd.DataFrame) -> pa.Table:
@@ -138,9 +133,8 @@ def _star_round(D: rd.Dataset, large: bool, num_partitions: int) -> rd.Dataset:
         out = out.drop_duplicates()
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return D.map_batches(directed, batch_format="pyarrow").groupby(
-        "part"
-    ).map_groups(star, batch_format="pandas")
+    return partition_map_groups(
+        D.map_batches(directed, batch_format="pyarrow"), "x", star)
 
 
 def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
@@ -151,8 +145,7 @@ def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
 
     prev_sig = None
     for _ in range(max_rounds):
-        D2 = _star_round(_star_round(D, True, STAR_PARTITIONS),
-                         False, STAR_PARTITIONS)
+        D2 = _star_round(_star_round(D, True), False)
         # canonical dedupe (cross-partition duplicates) + convergence signature
         D = D2.groupby(["a", "b"]).aggregate(Count(alias_name="n")).map_batches(
             lambda t: t.select(["a", "b"]), batch_format="pyarrow"
@@ -191,8 +184,8 @@ def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
 
 def _block_pairs_partition(group: pd.DataFrame, threshold: float) -> pa.Table:
     """Verified pairs for ONE hash(band) partition: band blocks are
-    enumerated inside the partition (P bounded pandas groups for the whole
-    vocabulary, not one UDF call per LSH band)."""
+    enumerated inside the partition (a bounded number of pandas groups for
+    the whole vocabulary, not one UDF call per LSH band)."""
     a_out, b_out = [], []
     for _band, g in group.groupby("band_key", sort=False):
         uniq = sorted(set(g["norm"]))
@@ -262,17 +255,8 @@ def build_canon_map(
     banded = uniq.map_batches(band_keys, batch_format="pyarrow",
                               batch_size=4096)
 
-    def add_band_part(t: pa.Table) -> pa.Table:
-        parts = partition_vec(
-            t.column("band_key").to_numpy(zero_copy_only=False),
-            STAR_PARTITIONS)
-        return t.append_column("part", pa.array(parts, pa.int32()))
-
-    pairs = banded.map_batches(add_band_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: _block_pairs_partition(g, threshold),
-            batch_format="pandas",
-        )
+    pairs = partition_map_groups(
+        banded, "band_key", lambda g: _block_pairs_partition(g, threshold))
     # duplicate band hits for the same pair collapse via a native aggregate
     from ray.data.aggregate import Count
 

@@ -8,9 +8,10 @@ MB of grams for every public eval suite combined), so the default route
 broadcasts the distinct benchmark gram set ONCE via ``ray.put`` and every
 corpus batch does a C-speed set-intersection against it — one corpus scan,
 zero shuffle. When the benchmark gram set exceeds ``broadcast_limit`` the
-operator auto-routes to a gram-hash-partitioned semi-join (both sides
-shuffle once on ``hash(gram) % P``, per-partition vectorized merge, then a
-distributed per-doc sum combine) — same output, parity-tested.
+operator auto-routes to a gram-keyed semi-join (both sides shuffle once
+through :func:`relational.partition_map_groups` on the gram, per-partition
+vectorized merge, then a distributed per-doc sum combine) — same output,
+parity-tested.
 
 Gram construction reuses :func:`functions.hashing.word_shingles` (the
 MinHash shingle builder), so the DuckDB oracle twin is the identical
@@ -28,8 +29,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..functions.hashing import partition_vec, word_shingles
-from .relational import preagg_groupby_ds, to_arrow
+from ..functions.hashing import word_shingles
+from .relational import partition_map_groups, preagg_groupby_ds, to_arrow
 
 # Above this many distinct benchmark grams the broadcast set stops being
 # "small side" and the gram-partitioned join route runs instead. 2M grams
@@ -60,7 +61,6 @@ def contamination_overlap(
     id_col: str = "doc_id",
     text_col: str = "text",
     broadcast_limit: int = BENCH_BROADCAST_LIMIT,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Per-document count of DISTINCT word ``gram_n``-grams shared with the
     benchmark set; only contaminated documents (count >= 1) are returned as
@@ -85,8 +85,7 @@ def contamination_overlap(
     if bench_grams.count() <= broadcast_limit:
         return _overlap_broadcast(docs, bench_grams, gram_n,
                                   id_col, text_col)
-    return _overlap_join(docs, bench_grams, gram_n, id_col, text_col,
-                         num_partitions)
+    return _overlap_join(docs, bench_grams, gram_n, id_col, text_col)
 
 
 def _overlap_broadcast(
@@ -124,24 +123,24 @@ def _overlap_broadcast(
 
 def _overlap_join(
     docs: rd.Dataset, bench_grams: rd.Dataset, gram_n: int,
-    id_col: str, text_col: str, num_partitions: int,
+    id_col: str, text_col: str,
 ) -> rd.Dataset:
     """Huge-benchmark route: co-partition corpus (doc_id, gram) pairs and
-    benchmark grams by ``hash(gram) % P``, semi-join per partition, then one
-    distributed per-doc sum. Exact: a gram's every occurrence lands in one
-    partition, and per-doc pairs are distinct by construction."""
+    benchmark grams in one keyed exchange on the gram
+    (:func:`relational.partition_map_groups`), semi-join per partition,
+    then one distributed per-doc sum. Exact: a gram's every occurrence
+    lands in one partition, and per-doc pairs are distinct by
+    construction."""
 
     def doc_side(b: pd.DataFrame) -> pa.Table:
         rows = _gram_rows(b[text_col], b[id_col], gram_n)
-        rows["part"] = partition_vec(rows["gram"], num_partitions)
         rows["doc_id"] = rows["doc_id"].astype(np.int64)
         return to_arrow(rows)
 
     def bench_side(b: pd.DataFrame) -> pa.Table:
         out = pd.DataFrame({"gram": b["gram"]})
-        out["part"] = partition_vec(out["gram"], num_partitions)
         out["doc_id"] = np.int64(-1)  # marker: benchmark row
-        return to_arrow(out[["doc_id", "gram", "part"]])
+        return to_arrow(out[["doc_id", "gram"]])
 
     tagged = docs.map_batches(doc_side, batch_format="pandas").union(
         bench_grams.map_batches(bench_side, batch_format="pandas"))
@@ -156,7 +155,6 @@ def _overlap_join(
         part["n_overlap"] = part["n_overlap"].astype(np.int64)
         return to_arrow(part)
 
-    partials = tagged.groupby("part").map_groups(
-        join_partition, batch_format="pandas")
+    partials = partition_map_groups(tagged, "gram", join_partition)
     return preagg_groupby_ds(partials, ["doc_id"],
                              {"n_overlap": ("n_overlap", "sum")})

@@ -46,9 +46,9 @@ from ..functions.hashing import (
     MinHasher,
     char_shingles,
     hamming64,
+    hash64_pair,
     hash64_vec,
     jaccard,
-    partition_vec,
     simhash64,
     stable_hash64,
     word_shingles,
@@ -333,14 +333,11 @@ def _candidate_pairs(
             "doc_b": pa.array(b, pa.int64()),
         }))
 
-    P = 64  # bounded groups: buckets hash into P partitions, pairs are
-    #         enumerated bucket-by-bucket INSIDE each partition (one pandas
-    #         frame per partition, never one UDF call per bucket)
+    from .relational import partition_map_groups
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = partition_vec(
-            batch.column(bucket_col).to_numpy(zero_copy_only=False), P)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
+    # bounded groups: buckets hash-partition through the keyed exchange,
+    # pairs are enumerated bucket-by-bucket INSIDE each partition (one
+    # pandas frame per partition, never one UDF call per bucket)
 
     def candidates_partition(group: pd.DataFrame) -> pa.Table:
         a, b, _ = _bucket_pair_arrays(
@@ -351,18 +348,8 @@ def _candidate_pairs(
             # partition never reach the cross-partition exchange
             a, b = _pair_unique(a, b)
         return pa.table({"doc_a": pa.array(a, pa.int64()),
-                         "doc_b": pa.array(b, pa.int64())})
-
-    def add_pair_part(t: pa.Table) -> pa.Table:
-        ua = t.column("doc_a").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        ub = t.column("doc_b").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        mixed = (ua * np.uint64(0x9E3779B97F4A7C15)) ^ \
-                (ub * np.uint64(0xC2B2AE3D27D4EB4F))
-        return t.append_column(
-            "part2", pa.array((mixed % np.uint64(P)).astype(np.int32),
-                              pa.int32()))
+                         "doc_b": pa.array(b, pa.int64()),
+                         "pair": pa.array(hash64_pair(a, b), pa.uint64())})
 
     def dedup_partition(group: pd.DataFrame) -> pa.Table:
         a, b = _pair_unique(group["doc_a"].to_numpy(),
@@ -375,14 +362,9 @@ def _candidate_pairs(
     # ``groupby([doc_a, doc_b]).aggregate(Count)`` sort-aggregate was 4x
     # the cost of the enumeration itself at 5.8M pairs — measured 97 s vs
     # 24 s at 50k docs.)
-    return (
-        bucket_rows.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(candidates_partition, batch_format="pandas")
-        .map_batches(add_pair_part, batch_format="pyarrow")
-        .groupby("part2")
-        .map_groups(dedup_partition, batch_format="pandas")
-    )
+    candidates = partition_map_groups(bucket_rows, bucket_col,
+                                      candidates_partition)
+    return partition_map_groups(candidates, "pair", dedup_partition)
 
 
 # Candidate-count switchover for the verify stage: at or below this many
@@ -616,7 +598,6 @@ def _expand_dup_pairs(
     members: Optional[rd.Dataset],
     score_col: str,
     intra_score,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Expand representative-level verified pairs to member-level pairs —
     the exact inverse of the collapse in :func:`_candidate_pairs`.
@@ -635,7 +616,7 @@ def _expand_dup_pairs(
     operator's defined answer for m byte-identical docs; pipelines that only
     need survivors should compose with :func:`drop_near_dup_docs` semantics
     instead of materializing pairs."""
-    from .relational import compact_blocks, hash_join
+    from .relational import compact_blocks, hash_join, partition_map_groups
 
     if members is None:
         return verified
@@ -657,19 +638,14 @@ def _expand_dup_pairs(
             return _expand_dup_pairs_broadcast(
                 verified, mdf, score_col, intra_score, score_dtype)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = partition_vec(
-            batch.column("rep").to_numpy(zero_copy_only=False),
-            num_partitions)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
-
     def intra_partition(group: pd.DataFrame) -> pa.Table:
         # one vectorized triu per group; output is C(m, 2) per dup group —
         # inherent to the operator's defined answer (see docstring). A
         # partition's groups are emitted as one table (map_groups cannot
-        # stream chunks); ``num_partitions`` bounds how many dup groups
-        # land together, and a single pathological group's quadratic output
-        # is the documented reason to prefer collapse-style consumers.
+        # stream chunks); the exchange's partition count bounds how many
+        # dup groups land together, and a single pathological group's
+        # quadratic output is the documented reason to prefer
+        # collapse-style consumers.
         out_a: List[np.ndarray] = []
         out_b: List[np.ndarray] = []
         for _rep, g in group.groupby("rep", sort=False):
@@ -687,11 +663,7 @@ def _expand_dup_pairs(
             score_col: pa.array(np.full(len(a), intra_score), score_dtype),
         })
 
-    intra = (
-        members.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(intra_partition, batch_format="pandas")
-    )
+    intra = partition_map_groups(members, "rep", intra_partition)
 
     if verified.count() == 0:
         return intra
@@ -1459,7 +1431,6 @@ def near_dup_clusters(
 def dup_window_stats(
     docs: rd.Dataset,
     k: int = 5,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Exact substring-duplication scoring (the Lee et al. 2022
     "Deduplicating Training Data Makes Language Models Better"
@@ -1480,12 +1451,13 @@ def dup_window_stats(
        text. (Collision boundary: 64-bit birthday collisions become likely
        around 10^9-10^10 distinct windows; past that swap ``hash64_vec``
        for a 128-bit digest here — one line, nothing downstream changes.)
-    2. Window hashes co-partition by ``hash % P``; each partition computes
+    2. Window hashes co-partition through
+       :func:`relational.partition_map_groups`; each partition computes
        corpus totals for its windows locally (one vectorized ``transform``)
        and folds to per-(doc, partition) partials ``(n_pos, n_dup)``.
        A pathologically hot WINDOW costs only its own occurrence rows —
        totals are a sum, not an enumeration.
-    3. Partials (<= min(P, windows) rows per doc) combine per doc through
+    3. Partials (<= one row per doc and partition) combine per doc through
        :func:`relational.partition_map_groups` — doc cardinality is
        O(corpus), so the high-cardinality one-shuffle plan applies, not a
        map-side pre-agg.
@@ -1537,10 +1509,8 @@ def dup_window_stats(
         })
 
     counts = docs.map_batches(window_counts, batch_format="pandas")
-    partials = partition_map_groups(counts, "wh", mark_dups,
-                                    num_partitions=num_partitions)
-    return partition_map_groups(partials, "doc_id", per_doc,
-                                num_partitions=num_partitions)
+    partials = partition_map_groups(counts, "wh", mark_dups)
+    return partition_map_groups(partials, "doc_id", per_doc)
 
 
 def _lev_le1(a: str, b: str) -> bool:
@@ -1567,7 +1537,6 @@ def _lev_le1(a: str, b: str) -> bool:
 
 def token_typo_pairs(
     tokens: rd.Dataset,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """SymSpell-style fuzzy token matching: all pairs of DISTINCT tokens at
     edit distance exactly 1 (one substitution, insertion or deletion) —
@@ -1580,13 +1549,15 @@ def token_typo_pairs(
     variants and pairing within variant buckets enumerates a superset,
     verified by an O(len) distance check. Variant buckets are
     vocabulary-bounded and tiny (tokens sharing a deletion), so the
-    per-bucket loop inside each of the ``num_partitions`` co-partitions is
-    the same bounded plan as the canonicalization band blocks.
+    per-bucket loop inside each :func:`relational.partition_map_groups`
+    partition is the same bounded plan as the canonicalization band
+    blocks.
 
     Input: a Dataset with a ``token`` column of DISTINCT tokens (the
     caller's vocabulary — at corpus scale this is the pre-aggregated
     unigram table, orders of magnitude smaller than the corpus).
     Output: ``(tok_a, tok_b)`` with ``tok_a < tok_b``, globally deduped."""
+    from .relational import partition_map_groups
 
     def variants(batch: pa.Table) -> pa.Table:
         toks = batch.column("token").to_pylist()
@@ -1603,12 +1574,6 @@ def token_typo_pairs(
             "token": pa.array(out_t, pa.string()),
         })
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column("variant").to_numpy(zero_copy_only=False),
-            num_partitions)
-        return t.append_column("part", pa.array(part, pa.int32()))
-
     def pairs_partition(g: pd.DataFrame) -> pa.Table:
         a_out: List[str] = []
         b_out: List[str] = []
@@ -1624,13 +1589,9 @@ def token_typo_pairs(
         return pa.table({
             "tok_a": pa.array(out["tok_a"].tolist(), pa.string()),
             "tok_b": pa.array(out["tok_b"].tolist(), pa.string()),
+            "pair": pa.array(hash64_pair(out["tok_a"], out["tok_b"]),
+                             pa.uint64()),
         })
-
-    def add_pair_part(t: pa.Table) -> pa.Table:
-        keys = pd.Series(t.column("tok_a").to_pylist(), dtype=object) \
-            + "\x01" + pd.Series(t.column("tok_b").to_pylist(), dtype=object)
-        part = partition_vec(keys.to_numpy(), num_partitions)
-        return t.append_column("part2", pa.array(part, pa.int32()))
 
     def dedup_partition(g: pd.DataFrame) -> pa.Table:
         out = g[["tok_a", "tok_b"]].drop_duplicates()
@@ -1639,10 +1600,7 @@ def token_typo_pairs(
             "tok_b": pa.array(out["tok_b"].tolist(), pa.string()),
         })
 
-    return (tokens.map_batches(variants, batch_format="pyarrow")
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(pairs_partition,
-                                        batch_format="pandas")
-            .map_batches(add_pair_part, batch_format="pyarrow")
-            .groupby("part2").map_groups(dedup_partition,
-                                         batch_format="pandas"))
+    pairs = partition_map_groups(
+        tokens.map_batches(variants, batch_format="pyarrow"), "variant",
+        pairs_partition)
+    return partition_map_groups(pairs, "pair", dedup_partition)

@@ -24,7 +24,13 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .relational import compact_blocks, hash_join, preagg_groupby_ds, to_arrow
+from .relational import (
+    compact_blocks,
+    hash_join,
+    partition_map_groups,
+    preagg_groupby_ds,
+    to_arrow,
+)
 
 import logging
 
@@ -153,7 +159,6 @@ def triangle_counts(
     edges: rd.Dataset,
     src_col: str = "src",
     dst_col: str = "dst",
-    num_partitions: int = 64,
     max_degree: int = TRIANGLE_MAX_DEGREE,
 ) -> rd.Dataset:
     """Per-node triangle counts over an undirected simple graph (edges may
@@ -162,12 +167,13 @@ def triangle_counts(
     clustering-coefficient numerator (community structure / similarity-
     graph quality analytics).
 
-    Plan (wedge-check, 3 co-partitioned passes, no driver state):
-    1. canonicalize: orient each edge ``(a=min, b=max)``, hash-partition by
-       the pair, per-partition dedupe — the edge SET, still distributed.
-    2. wedges: symmetrize the deduped edges into per-node adjacency
-       (``hash(center) % P``), one vectorized triu expansion per partition
-       emits every neighbor pair ``(u < v, center)``. A triangle produces
+    Plan (wedge-check, 2 keyed exchanges through
+    :func:`relational.partition_map_groups`, no driver state):
+    1. canonicalize: orient each edge ``(a=min, b=max)`` and key it by the
+       pair hash, batch-local dedupe — the edge SET, still distributed.
+    2. wedges: symmetrize the edges into per-node adjacency (exchange on
+       the center node), one vectorized triu expansion per partition emits
+       every neighbor pair ``(u < v, center)``. A triangle produces
        exactly one wedge per corner, so closed-wedge counts grouped by
        center ARE per-node triangle counts.
     3. closure: wedges co-partition with the edge set on the pair hash; a
@@ -184,16 +190,9 @@ def triangle_counts(
     wedge charged to its LOWEST-degree corner), intentionally out of
     scope.
     """
-    from ..functions.hashing import hash64_vec
+    from ..functions.hashing import hash64_pair
 
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
-    P = np.uint64(num_partitions)
-
-    def pair_part(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        mixed = hash64_vec(a) * GOLD ^ hash64_vec(b)
-        return (mixed % P).astype(np.int32)
-
-    # -- 1. canonical edge set, pair-partitioned --------------------------
+    # -- 1. canonical edge set, pair-keyed ---------------------------------
     def orient(batch: pd.DataFrame) -> pa.Table:
         s = batch[src_col].to_numpy(np.int64)
         d = batch[dst_col].to_numpy(np.int64)
@@ -201,7 +200,7 @@ def triangle_counts(
         s, d = s[keep], d[keep]
         a, b = np.minimum(s, d), np.maximum(s, d)
         out = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
-        out["part"] = pair_part(out["a"].to_numpy(), out["b"].to_numpy())
+        out["pair"] = hash64_pair(out["a"], out["b"])
         return to_arrow(out)
 
     # No standalone dedupe shuffle: batch-level drop_duplicates above
@@ -216,13 +215,10 @@ def triangle_counts(
     def adj_rows(batch: pd.DataFrame) -> pa.Table:
         a = batch["a"].to_numpy(np.int64)
         b = batch["b"].to_numpy(np.int64)
-        out = pd.DataFrame({
+        return to_arrow(pd.DataFrame({
             "node": np.concatenate([a, b]),
             "nbr": np.concatenate([b, a]),
-        })
-        out["npart"] = (hash64_vec(out["node"].to_numpy())
-                        % P).astype(np.int32)
-        return to_arrow(out)
+        }))
 
     def wedge_rows(g: pd.DataFrame) -> pa.Table:
         sv = g.sort_values(["node", "nbr"], kind="mergesort")
@@ -253,22 +249,22 @@ def triangle_counts(
             return pa.table({"a": pa.array([], pa.int64()),
                              "b": pa.array([], pa.int64()),
                              "center": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int32())})
+                             "pair": pa.array([], pa.uint64())})
         u, v = np.concatenate(w_u), np.concatenate(w_v)
-        out = pd.DataFrame({
+        return to_arrow(pd.DataFrame({
             "a": u, "b": v, "center": np.concatenate(w_c),
-        })
-        out["part"] = pair_part(out["a"].to_numpy(), out["b"].to_numpy())
-        return to_arrow(out)
+            "pair": hash64_pair(u, v),
+        }))
 
-    wedges = edge_set.map_batches(adj_rows, batch_format="pandas") \
-        .groupby("npart").map_groups(wedge_rows, batch_format="pandas")
+    wedges = partition_map_groups(
+        edge_set.map_batches(adj_rows, batch_format="pandas"), "node",
+        wedge_rows)
 
     # -- 3. closure check: wedge (a,b) is an edge --------------------------
     def edge_tag(batch: pd.DataFrame) -> pa.Table:
-        out = batch[["a", "b", "part"]].copy()
+        out = batch[["a", "b", "pair"]].copy()
         out["center"] = np.int64(-1)  # marker: edge row
-        return to_arrow(out[["a", "b", "center", "part"]])
+        return to_arrow(out[["a", "b", "center", "pair"]])
 
     tagged = wedges.union(
         edge_set.map_batches(edge_tag, batch_format="pandas"))
@@ -284,8 +280,7 @@ def triangle_counts(
         part["n_triangles"] = part["n_triangles"].astype(np.int64)
         return to_arrow(part)
 
-    closed = tagged.groupby("part").map_groups(
-        close_partition, batch_format="pandas")
+    closed = partition_map_groups(tagged, "pair", close_partition)
     return preagg_groupby_ds(closed, ["node"],
                              {"n_triangles": ("n_triangles", "sum")})
 
@@ -315,8 +310,6 @@ def label_propagation(
     is a node-hash join + combine + partition-local argmax. Per-round
     state is materialized so round ``k+1`` never replays rounds ``1..k``.
     """
-    from ..functions.hashing import partition_vec
-
     edges = edges.materialize()
     # routing only: the edge count bounds the node count from above (so it
     # can only route TOWARD the distributed path), and it's free on a
@@ -364,9 +357,11 @@ def label_propagation(
         return (state.rename("label").reset_index()
                 [["node", "label"]].reset_index(drop=True))
 
-    # join route: state stays distributed
+    # join route: state stays distributed. Both join inputs drop their
+    # empty blocks first: exchange outputs routinely hold them, and the
+    # hash join fails on an empty first block (see compact_blocks)
+    edges = compact_blocks(edges)
     state_ds = seeds.materialize()
-    num_parts = 64
     for _ in range(rounds):
         joined = hash_join(edges, state_ds, on=["u"], right_on=["node"])
 
@@ -388,14 +383,12 @@ def label_propagation(
         def tag_cand(b: pd.DataFrame) -> pa.Table:
             out = b[["node", "label", "s"]].copy()
             out["pri"] = np.int8(1)
-            out["part"] = partition_vec(out["node"], num_parts)
             return to_arrow(out)
 
         def tag_seed(b: pd.DataFrame) -> pa.Table:
             out = b[["node", "label"]].copy()
             out["s"] = np.int64(0)
             out["pri"] = np.int8(0)    # seeds sort first -> always win
-            out["part"] = partition_vec(out["node"], num_parts)
             return to_arrow(out)
 
         def pick(g: pd.DataFrame) -> pa.Table:
@@ -406,8 +399,7 @@ def label_propagation(
 
         both = summed.map_batches(tag_cand, batch_format="pandas").union(
             seeds.map_batches(tag_seed, batch_format="pandas"))
-        state_ds = both.groupby("part").map_groups(
-            pick, batch_format="pandas").materialize()
+        state_ds = compact_blocks(partition_map_groups(both, "node", pick))
     return state_ds
 
 
@@ -417,17 +409,14 @@ def symmetrize_int_edges(
     dst_col: str = "dst",
     weight_col: str = "w",
     scale: float = 1.0,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Directed weighted edges -> deduped undirected edges with BOTH
     directions present and integer weights ``round(w * scale)`` — the
     input contract of :func:`label_propagation`. Assumes the weight is a
     symmetric function of the endpoints (cosine is), so duplicate
-    (a, b) rows agree; dedupe is one pair-hash shuffle."""
-    from ..functions.hashing import hash64_vec
-
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
-    P = np.uint64(num_partitions)
+    (a, b) rows agree; dedupe is one pair-keyed
+    :func:`relational.partition_map_groups` exchange."""
+    from ..functions.hashing import hash64_pair
 
     def orient(batch: pd.DataFrame) -> pa.Table:
         s = batch[src_col].to_numpy(np.int64)
@@ -439,9 +428,7 @@ def symmetrize_int_edges(
             "w": np.rint(batch[weight_col].to_numpy(np.float64)[keep]
                          * scale).astype(np.int64),
         }).drop_duplicates(["a", "b"])
-        out["part"] = ((hash64_vec(out["a"].to_numpy()) * GOLD
-                        ^ hash64_vec(out["b"].to_numpy())) % P
-                       ).astype(np.int32)
+        out["pair"] = hash64_pair(out["a"], out["b"])
         return to_arrow(out)
 
     def dedupe_and_mirror(g: pd.DataFrame) -> pa.Table:
@@ -452,6 +439,6 @@ def symmetrize_int_edges(
             "w": np.concatenate([e["w"].to_numpy()] * 2),
         }))
 
-    return edges.map_batches(orient, batch_format="pandas") \
-        .groupby("part").map_groups(dedupe_and_mirror,
-                                    batch_format="pandas")
+    return partition_map_groups(
+        edges.map_batches(orient, batch_format="pandas"), "pair",
+        dedupe_and_mirror)

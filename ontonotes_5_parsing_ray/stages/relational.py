@@ -138,15 +138,37 @@ def _known_size_bytes(ds: rd.Dataset):
         return None
 
 
-def _auto_join_partitions(cpus: int, left_bytes, right_bytes) -> int:
+def _auto_join_partitions(cpus: int, *input_bytes) -> int:
     """CPU-derived floor, raised by known input size so one bucket of the
-    larger side stays under ``TARGET_JOIN_BUCKET_BYTES``."""
+    largest input stays under ``TARGET_JOIN_BUCKET_BYTES``."""
     floor = max(2, min(16, cpus // 4))
-    sizes = [s for s in (left_bytes, right_bytes) if s]
+    sizes = [s for s in input_bytes if s]
     if not sizes:
         return floor
     by_size = -(-max(sizes) // TARGET_JOIN_BUCKET_BYTES)  # ceil-div
     return max(floor, min(int(by_size), MAX_AUTO_JOIN_PARTITIONS))
+
+
+def exchange_partitions(*inputs: Optional[rd.Dataset]) -> int:
+    """Partition count of the package's hash exchanges — the one place
+    that picks it: :func:`partition_map_groups`, :func:`hash_join` and the
+    joins that hash their own composite partition column. (The KG linker's
+    ``kg.LINK_PARTITIONS`` and ``materialize_kg``'s on-disk layout are
+    fixed counts of their own.)
+
+    The count is a physical choice derived from the input, not an operator
+    option: the CPU floor of :func:`_auto_join_partitions`, raised by the
+    input bytes the logical plans already know (``None`` inputs are
+    skipped). Outputs never depend on it — every key co-locates at any
+    count — and the sort-shuffle's fixed per-partition cost dominates small
+    inputs (measured 4.5 s -> 2 s on a 600k-row pre-agg going 64 -> 8
+    partitions)."""
+    try:
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        cpus = 8
+    return _auto_join_partitions(
+        cpus, *(_known_size_bytes(d) for d in inputs if d is not None))
 
 
 def hash_join(
@@ -154,11 +176,10 @@ def hash_join(
     right: rd.Dataset,
     on: Sequence[str],
     join_type: str = "inner",
-    num_partitions: Optional[int] = None,
     right_on: Optional[Sequence[str]] = None,
 ) -> rd.Dataset:
     """Distributed hash join: both sides are hash-partitioned on the key into
-    ``num_partitions`` co-located buckets, merged bucket-locally.
+    :func:`exchange_partitions` co-located buckets, merged bucket-locally.
 
     This is the fact-to-fact path (orders ⋈ lineitem): neither side is ever
     driver-resident, the only data movement is the two key-partitioned
@@ -172,17 +193,10 @@ def hash_join(
     keys concentrate in one bucket — pre-aggregate or salt before joining
     on a hot key.
     """
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = _auto_join_partitions(
-            cpus, _known_size_bytes(left), _known_size_bytes(right))
     return left.join(
         right,
         join_type=join_type,
-        num_partitions=num_partitions,
+        num_partitions=exchange_partitions(left, right),
         on=tuple(on),
         right_on=tuple(right_on) if right_on is not None else None,
     )
@@ -639,7 +653,6 @@ def grouped_quantiles_ds(
     qs: Sequence[float] = (0.5,),
     col_names: Optional[Sequence[str]] = None,
     n_buckets: int = 2048,
-    num_partitions: int = 64,
     big_key_limit: int = 2_000_000,
     driver_limit: int = 500_000,
 ) -> rd.Dataset:
@@ -665,8 +678,8 @@ def grouped_quantiles_ds(
     ).materialize()
     return _grouped_quantiles_distributed(
         ds, key_col, value_col, qs, col_names, n_buckets, parts,
-        num_partitions=num_partitions, big_key_limit=big_key_limit,
-        driver_limit=driver_limit, as_dataset=True)
+        big_key_limit=big_key_limit, driver_limit=driver_limit,
+        as_dataset=True)
 
 
 def _grouped_quantiles_distributed(
@@ -677,24 +690,22 @@ def _grouped_quantiles_distributed(
     col_names: List[str],
     n_buckets: int,
     parts: rd.Dataset,
-    num_partitions: int = 64,
     big_key_limit: int = 2_000_000,
     driver_limit: int = 500_000,
     as_dataset: bool = False,
 ) -> Union[pd.DataFrame, rd.Dataset]:
     """High-cardinality branch of :func:`grouped_quantiles`: NO per-key
-    driver control state. Rows take ONE key-hash shuffle (the repo's
-    established ``hash(key) % P -> map_groups`` pattern) and each
-    partition — which by construction holds ALL rows of its keys —
-    computes exact interpolated quantiles with one vectorized sort+gather
-    kernel (no per-key Python loop; explicit SQL-standard interpolation so
-    the arithmetic matches the driver route and DuckDB bit-for-bit at
-    rounded-6 precision). At high cardinality per-key row counts are
-    small, so co-locating a key's rows is cheap and strictly better than
-    histogram refinement (whose per-key spec/target state is exactly what
-    must not live anywhere at 10^6+ keys; Ray's native multi-column
-    ``groupby().aggregate`` over key x bucket was also measured
-    pathological — 200s at 10^5 keys).
+    driver control state. Rows take ONE key-hash shuffle
+    (:func:`partition_map_groups`) and each partition — which by
+    construction holds ALL rows of its keys — computes exact interpolated
+    quantiles with one vectorized sort+gather kernel (no per-key Python
+    loop; explicit SQL-standard interpolation so the arithmetic matches the
+    driver route and DuckDB bit-for-bit at rounded-6 precision). At high
+    cardinality per-key row counts are small, so co-locating a key's rows
+    is cheap and strictly better than histogram refinement (whose per-key
+    spec/target state is exactly what must not live anywhere at 10^6+ keys;
+    Ray's native multi-column ``groupby().aggregate`` over key x bucket was
+    also measured pathological — 200s at 10^5 keys).
 
     Skew guard: a key whose TOTAL row count exceeds ``big_key_limit``
     would dominate its shuffle partition, so such keys are offloaded to
@@ -703,8 +714,6 @@ def _grouped_quantiles_distributed(
     only — a key with total n > L must contribute > L/num_blocks partial
     rows in some block — so nothing key-sized reaches the driver beyond
     the (bounded, <= total_rows/L) offload set itself."""
-    from ..functions.hashing import partition_vec
-
     data = ds.select_columns([key_col, value_col])
     big_out: Optional[pd.DataFrame] = None
 
@@ -744,12 +753,6 @@ def _grouped_quantiles_distributed(
                 driver_limit, _force_driver=True)
             data = data.map_batches(member(False), batch_format="pandas")
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column(key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
-        return t.append_column("part", pa.array(part, pa.int32()))
-
     def part_quantiles(g: pd.DataFrame) -> pa.Table:
         sv = g.sort_values([key_col, value_col], kind="mergesort")
         v = sv[value_col].to_numpy(dtype=np.float64)
@@ -768,11 +771,7 @@ def _grouped_quantiles_distributed(
             out[cname] = pa.array(res, pa.float64())
         return pa.table(out)
 
-    med_ds = (
-        data.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_quantiles, batch_format="pandas")
-    )
+    med_ds = partition_map_groups(data, key_col, part_quantiles)
     if as_dataset:
         # cluster-scale surface: the per-key result never lands on the
         # driver — consume with write_parquet / iter_batches
@@ -786,23 +785,6 @@ def _grouped_quantiles_distributed(
     return med.sort_values(key_col).reset_index(drop=True)
 
 
-def _grouped_median_distributed(
-    ds: rd.Dataset,
-    key_col: str,
-    value_col: str,
-    n_buckets: int,
-    parts: rd.Dataset,
-    num_partitions: int = 64,
-    big_key_limit: int = 2_000_000,
-    driver_limit: int = 500_000,
-) -> pd.DataFrame:
-    """Median special case of :func:`_grouped_quantiles_distributed`."""
-    return _grouped_quantiles_distributed(
-        ds, key_col, value_col, [0.5], ["median_value"], n_buckets, parts,
-        num_partitions=num_partitions, big_key_limit=big_key_limit,
-        driver_limit=driver_limit)
-
-
 def asof_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -810,7 +792,6 @@ def asof_join(
     on: str,
     left_cols: List[str],
     right_cols: List[str],
-    num_partitions: Optional[int] = None,
     right_dedup_max: Optional[str] = None,
     salt_bucket: Optional[int] = None,
 ) -> rd.Dataset:
@@ -822,11 +803,10 @@ def asof_join(
     both sides are tagged and CO-PARTITIONED by ``hash(by) % P`` through one
     union + groupby (every key's rows from both sides land in the same
     bounded partition), and each partition runs ONE vectorized
-    ``pd.merge_asof`` — never a per-key UDF. ``num_partitions`` defaults to
-    the same size-aware derivation as :func:`hash_join` (CPU floor, raised
-    by known input bytes). Partition keys hash through :func:`_hash_canon`
-    so mismatched numeric dtypes across the two sides cannot silently
-    mis-partition.
+    ``pd.merge_asof`` — never a per-key UDF. ``P`` is
+    :func:`exchange_partitions` of both sides. Partition keys hash through
+    :func:`_hash_canon` so mismatched numeric dtypes across the two sides
+    cannot silently mis-partition.
 
     Partitioning assumption (default route): all rows of one ``by`` key fit
     a partition. For a hotter-than-partition key (one user with 10^9
@@ -849,14 +829,7 @@ def asof_join(
     tuple of value columns (deterministic on both routes)."""
     from ..functions.hashing import hash64_vec, partition_vec
 
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = _auto_join_partitions(
-            cpus, _known_size_bytes(left),
-            None if right is None else _known_size_bytes(right))
+    num_partitions = exchange_partitions(left, right)
 
     left_only = [c for c in left_cols if c not in (by, on)]
     right_only = [c for c in right_cols if c not in (by, on)]
@@ -1038,10 +1011,14 @@ def partition_map_groups(
     ds: rd.Dataset,
     part_key_col: str,
     kernel,
-    num_partitions: Optional[int] = None,
 ) -> rd.Dataset:
-    """One ``hash(key) % P`` shuffle + one vectorized pandas kernel per
-    partition — the HIGH-cardinality groupby plan. Map-side pre-aggregation
+    """THE keyed exchange: one ``hash(key) % P`` shuffle + one vectorized
+    pandas kernel per partition. Every hash-partitioned ``map_groups`` in
+    the package goes through here (only the salted KG linker and the
+    salted / time-bucketed joins hash composite keys themselves), and ``P``
+    is always :func:`exchange_partitions` of the input.
+
+    This is the HIGH-cardinality groupby plan. Map-side pre-aggregation
     (:func:`preagg_groupby_ds`) only helps when the key space is much
     smaller than a batch; when cardinality is O(rows) — per-user aggregates
     over a user-keyed stream — partials shrink nothing and the combine
@@ -1051,23 +1028,12 @@ def partition_map_groups(
 
     ``kernel(df) -> pa.Table`` sees every row of its partition (the
     ``part`` column dropped); co-location holds for ANY key tuple whose
-    first element is ``part_key_col``.
-
-    ``num_partitions`` defaults to the same size-aware derivation as
-    :func:`hash_join` (CPU floor when input size is unknown, scaled up by
-    known bytes): results are partition-count-independent (keys co-locate
-    at any P), and the sort-shuffle's fixed per-partition overhead
-    dominates small inputs — measured 4.5 s -> 2 s on a 600k-row pre-agg
-    going 64 -> 8 partitions."""
+    first element is ``part_key_col``, so results are
+    partition-count-independent. A pair-keyed exchange passes one column
+    holding the pair's hash (:func:`functions.hashing.hash64_pair`)."""
     from ..functions.hashing import partition_vec
 
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = _auto_join_partitions(
-            cpus, _known_size_bytes(ds), None)
+    num_partitions = exchange_partitions(ds)
 
     def add_part(t: pa.Table) -> pa.Table:
         part = partition_vec(
@@ -1087,37 +1053,25 @@ def groupwise_head(
     key_col: str,
     order_cols: List[str],
     k: int,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Deterministic per-key quota sampling: keep the first ``k`` rows of
     each key under ``order_cols`` order (the training-data "at most K
     documents per domain" cap; SQL twin: ``row_number() OVER (PARTITION BY
     key ORDER BY ...) <= k``).
 
-    Keys hash into ``num_partitions`` bounded partitions; inside each, ONE
-    vectorized sort + ``groupby.cumcount`` pass selects survivors — never a
-    UDF call per key. A key hotter than a partition is already capped at
-    ``k`` by this very operator, so skew cannot blow a partition's output
-    (input skew within the partition is bounded by the upstream read)."""
-    from ..functions.hashing import partition_vec
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        parts = partition_vec(
-            batch.column(key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
-        return batch.append_column("part", pa.array(parts, pa.int32()))
+    One :func:`partition_map_groups` exchange on the key; inside each
+    partition, ONE vectorized sort + ``groupby.cumcount`` pass selects
+    survivors — never a UDF call per key. A key hotter than a partition is
+    already capped at ``k`` by this very operator, so skew cannot blow a
+    partition's output (input skew within the partition is bounded by the
+    upstream read)."""
 
     def head_partition(group: pd.DataFrame) -> pa.Table:
-        df = group.drop(columns=["part"]).sort_values(
-            [key_col] + order_cols, kind="mergesort")
+        df = group.sort_values([key_col] + order_cols, kind="mergesort")
         keep = df.groupby(key_col, sort=False).cumcount() < k
         return to_arrow(df[keep.to_numpy()])
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(head_partition, batch_format="pandas")
-    )
+    return partition_map_groups(ds, key_col, head_partition)
 
 
 def windowed_event_counts(
@@ -1233,7 +1187,6 @@ def sessionize_events_salted(
     events: rd.Dataset,
     gap_seconds: int = 1800,
     bucket_seconds: int = 86400,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Skew-safe twin of :func:`sessionize_events` (exact same output).
 
@@ -1245,13 +1198,16 @@ def sessionize_events_salted(
     (rows ≈ sessions, not events): two bucket-adjacent partial sessions
     fuse when the boundary gap ``next.start - prev.end <= gap_seconds`` —
     exactly the per-event rule, because bucket edges split only consecutive
-    events. Both phases shuffle into ``num_partitions`` hash buckets and run
+    events. Both phases shuffle into :func:`exchange_partitions` hash
+    buckets (phase B through :func:`partition_map_groups`) and run
     VECTORIZED pandas kernels (cumsum session breaks), never one UDF call
     per user or per session. Sums stay unrounded until after the merge.
     """
     import numpy as np
 
     from ..functions.hashing import hash64_vec
+
+    num_partitions = exchange_partitions(events)
 
     def phase_a_cols(batch: pd.DataFrame) -> pa.Table:
         b = batch[["event_id", "user_id", "value"]].copy()
@@ -1289,13 +1245,6 @@ def sessionize_events_salted(
         .map_groups(sessionize_partition, batch_format="pandas")
     )
 
-    def phase_b_cols(batch: pd.DataFrame) -> pa.Table:
-        from ..functions.hashing import partition_vec
-
-        b = batch.copy()
-        b["part"] = partition_vec(b["user_id"], num_partitions)
-        return to_arrow(b)
-
     def merge_partition(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values(["user_id", "session_start", "session_end"],
                                kind="mergesort")
@@ -1315,11 +1264,7 @@ def sessionize_events_salted(
         agg["value_sum"] = round_half_away(agg["value_sum"].to_numpy(), 6)
         return to_arrow(agg[SESSION_COLUMNS])
 
-    return (
-        partials.map_batches(phase_b_cols, batch_format="pandas")
-        .groupby("part")
-        .map_groups(merge_partition, batch_format="pandas")
-    )
+    return partition_map_groups(partials, "user_id", merge_partition)
 
 
 def rolling_by_key(
@@ -1330,31 +1275,22 @@ def rolling_by_key(
     window: int,
     out_col: str = "rolling_avg",
     keep_cols: Optional[Sequence[str]] = None,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Per-key rolling row-window mean over an ordered stream — the
     ``avg(value) OVER (PARTITION BY key ORDER BY ... ROWS BETWEEN window-1
     PRECEDING AND CURRENT ROW)`` window aggregate Ray Data lacks natively.
 
-    One ``hash(key) % P`` shuffle co-locates each key's rows; every
-    partition does ONE sort (key + order columns, so ordering is total and
-    deterministic — pass a unique tie-breaker) and one C-speed pandas
-    ``groupby().rolling().mean()`` — never a UDF call per key. Partitioning
-    assumption: a single key's rows fit one partition (same contract as
-    sessionize; row-windows need per-key contiguity, so a
+    One :func:`partition_map_groups` exchange co-locates each key's rows;
+    every partition does ONE sort (key + order columns, so ordering is
+    total and deterministic — pass a unique tie-breaker) and one C-speed
+    pandas ``groupby().rolling().mean()`` — never a UDF call per key.
+    Partitioning assumption: a single key's rows fit one partition (same
+    contract as sessionize; row-windows need per-key contiguity, so a
     hotter-than-partition key would need range-chunked salting with
     window-1 rows of boundary overlap — not implemented, fail by memory)."""
-    from ..functions.hashing import partition_vec
-
     order_cols = list(order_cols)
     keep_cols = list(keep_cols) if keep_cols is not None else [key_col]
     need = sorted({key_col, value_col, *order_cols, *keep_cols})
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column(key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
-        return t.append_column("part", pa.array(part, pa.int32()))
 
     def per_partition(g: pd.DataFrame) -> pa.Table:
         sv = g.sort_values([key_col] + order_cols,
@@ -1366,12 +1302,8 @@ def rolling_by_key(
         out[out_col] = round_half_away(roll.to_numpy(np.float64), 6)
         return to_arrow(out)
 
-    return (
-        ds.select_columns(need)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partition_map_groups(ds.select_columns(need), key_col,
+                                per_partition)
 
 
 def interval_join(
@@ -1381,7 +1313,6 @@ def interval_join(
     time_col: str,
     window: int,
     id_col: str = "event_id",
-    num_partitions: int = 64,
     side_col: str = "side",
 ) -> rd.Dataset:
     """Stream-stream interval join: every left row pairs with ALL right
@@ -1391,7 +1322,8 @@ def interval_join(
 
     Plan: time is bucketed by ``window`` so a left row's matches live in
     exactly two buckets — the row's own and the next. Right rows shuffle
-    once to ``hash(key, bucket) % P``; left rows are REPLICATED into both
+    once to ``hash(key, bucket) % P`` (``P`` from
+    :func:`exchange_partitions`); left rows are REPLICATED into both
     target buckets (2x the left stream, never a cross product). Each
     partition runs one vectorized kernel: sort rights by (group, time),
     two ``searchsorted`` calls per left batch bound every match range, and
@@ -1410,6 +1342,7 @@ def interval_join(
     from ..functions.hashing import hash64_vec
 
     GOLD = np.uint64(0x9E3779B97F4A7C15)
+    num_partitions = exchange_partitions(left, right)
 
     def tag(ds: rd.Dataset, is_left: Optional[bool]) -> rd.Dataset:
         def prep(b: pd.DataFrame) -> pa.Table:
@@ -1508,7 +1441,6 @@ def ewma_by_key(
     alpha: float,
     out_col: str = "ewma",
     keep_cols: Optional[Sequence[str]] = None,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Per-key exponentially-weighted moving average — the streaming decay
     recurrence ``s_t = alpha * x_t + (1 - alpha) * s_{t-1}`` (``s_0 =
@@ -1516,24 +1448,17 @@ def ewma_by_key(
     recency-weighting primitive windows can't express (every prior row
     contributes, decayed), e.g. per-user spend trendlines.
 
-    Same one-shuffle plan as :func:`lag_by_key`: ``hash(key) % P``
-    co-locates each key, each partition does ONE mergesort + one C-speed
+    Same one-shuffle plan as :func:`lag_by_key`: one
+    :func:`partition_map_groups` exchange co-locates each key, each
+    partition does ONE mergesort + one C-speed
     ``groupby().ewm(adjust=False).mean()`` — the pandas kernel computes
     the identical IEEE-double recurrence as a SQL recursive CTE, which is
     what makes the operator value-hash oracle-checkable. Same contract:
     one key's rows fit one partition; include a unique tie-breaker in
     ``order_cols``."""
-    from ..functions.hashing import partition_vec
-
     order_cols = list(order_cols)
     keep_cols = list(keep_cols) if keep_cols is not None else [key_col]
     need = sorted({key_col, value_col, *order_cols, *keep_cols})
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column(key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
-        return t.append_column("part", pa.array(part, pa.int32()))
 
     def per_partition(g: pd.DataFrame) -> pa.Table:
         sv = g.sort_values([key_col] + order_cols,
@@ -1545,12 +1470,8 @@ def ewma_by_key(
         out[out_col] = ew.to_numpy(np.float64)
         return to_arrow(out)
 
-    return (
-        ds.select_columns(need)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partition_map_groups(ds.select_columns(need), key_col,
+                                per_partition)
 
 
 def range_window_sum_by_key(
@@ -1561,7 +1482,6 @@ def range_window_sum_by_key(
     window: int,
     out_col: str = "window_sum",
     keep_cols: Optional[Sequence[str]] = None,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Per-key RANGE-window sum: for every row, the sum of ``value_col``
     over the key's rows with ``time in [t - window + 1, t]`` — SQL
@@ -1570,22 +1490,15 @@ def range_window_sum_by_key(
     frame: a fixed COUNT of preceding rows), the RANGE frame is
     time-bounded and includes ALL ties at the current instant.
 
-    Same one-shuffle plan as the other per-key windows: ``hash(key) % P``,
-    then per partition ONE mergesort + per-key prefix sums + two
-    ``searchsorted`` bounds per row — O(n log n) per partition, no
-    per-row loops. ``value_col`` must be INTEGER (callers scale floats to
-    fixed-point first) so distributed summation order can't perturb a
-    float result. Same contract: one key's rows fit one partition."""
-    from ..functions.hashing import partition_vec
-
+    Same one-shuffle plan as the other per-key windows
+    (:func:`partition_map_groups` on the key), then per partition ONE
+    mergesort + per-key prefix sums + two ``searchsorted`` bounds per row —
+    O(n log n) per partition, no per-row loops. ``value_col`` must be
+    INTEGER (callers scale floats to fixed-point first) so distributed
+    summation order can't perturb a float result. Same contract: one key's
+    rows fit one partition."""
     keep_cols = list(keep_cols) if keep_cols is not None else [key_col]
     need = sorted({key_col, time_col, value_col, *keep_cols})
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column(key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
-        return t.append_column("part", pa.array(part, pa.int32()))
 
     def per_partition(g: pd.DataFrame) -> pa.Table:
         sv = g.sort_values([key_col, time_col],
@@ -1607,12 +1520,8 @@ def range_window_sum_by_key(
         out[out_col] = out_vals
         return to_arrow(out)
 
-    return (
-        ds.select_columns(need)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partition_map_groups(ds.select_columns(need), key_col,
+                                per_partition)
 
 
 def lag_by_key(
@@ -1623,29 +1532,21 @@ def lag_by_key(
     out_col: str = "lag_value",
     delta: bool = False,
     keep_cols: Optional[Sequence[str]] = None,
-    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Per-key previous-row value (``lag(value) OVER (PARTITION BY key
     ORDER BY ...)``) — or, with ``delta=True``, the difference
     ``value - lag(value)`` (inter-event gaps, deltas, rate-of-change).
 
-    Same one-shuffle plan as :func:`rolling_by_key`: ``hash(key) % P``
-    co-locates each key's rows, each partition does ONE mergesort + one
-    C-speed ``groupby().shift()`` — no per-key UDF calls. The first row of
-    every key gets a null ``out_col`` (callers filter or fill). Same
-    partitioning contract: one key's rows fit one partition; pass a unique
-    tie-breaker in ``order_cols`` for a total, deterministic order."""
-    from ..functions.hashing import partition_vec
-
+    Same one-shuffle plan as :func:`rolling_by_key`: one
+    :func:`partition_map_groups` exchange co-locates each key's rows, each
+    partition does ONE mergesort + one C-speed ``groupby().shift()`` — no
+    per-key UDF calls. The first row of every key gets a null ``out_col``
+    (callers filter or fill). Same partitioning contract: one key's rows
+    fit one partition; pass a unique tie-breaker in ``order_cols`` for a
+    total, deterministic order."""
     order_cols = list(order_cols)
     keep_cols = list(keep_cols) if keep_cols is not None else [key_col]
     need = sorted({key_col, value_col, *order_cols, *keep_cols})
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column(key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
-        return t.append_column("part", pa.array(part, pa.int32()))
 
     def per_partition(g: pd.DataFrame) -> pa.Table:
         sv = g.sort_values([key_col] + order_cols,
@@ -1655,12 +1556,8 @@ def lag_by_key(
         out[out_col] = (sv[value_col] - prev) if delta else prev
         return to_arrow(out)
 
-    return (
-        ds.select_columns(need)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
+    return partition_map_groups(ds.select_columns(need), key_col,
+                                per_partition)
 
 
 def grouped_corr(
@@ -1726,7 +1623,6 @@ def skew_join(
     left_cols: List[str],
     right_cols: List[str],
     hot_threshold: int = 100_000,
-    num_partitions: Optional[int] = None,
     sample_top: int = 64,
 ) -> rd.Dataset:
     """Skew-aware distributed INNER hash join (the AQE/Hive skew-join
@@ -1754,8 +1650,6 @@ def skew_join(
     empty first blocks. Callers with an expensive upstream should pass a
     materialized/persisted left."""
     import ray
-
-    from ..functions.hashing import partition_vec  # noqa: F401 (doc link)
 
     def count_partials(batch: pd.DataFrame) -> pa.Table:
         vc = batch[on].value_counts().head(sample_top)
@@ -1816,8 +1710,7 @@ def skew_join(
         right.map_batches(side(False), batch_format="pandas"))
     cold = None
     if left_cold.count() and right_cold.count():
-        cold = hash_join(left_cold, right_cold, on=[on],
-                         num_partitions=num_partitions) \
+        cold = hash_join(left_cold, right_cold, on=[on]) \
             .map_batches(project, batch_format="pandas")
     if not hot:
         return cold if cold is not None else typed_empty()

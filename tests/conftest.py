@@ -22,6 +22,19 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def pin_exchange_partitions(monkeypatch):
+    """``pin(n)``: every hash exchange in the package uses ``n``
+    partitions (patches the one shared rule,
+    ``relational.exchange_partitions``)."""
+    from ontonotes_5_parsing_ray.stages import relational
+
+    def pin(n: int) -> None:
+        monkeypatch.setattr(relational, "exchange_partitions",
+                            lambda *inputs: n)
+    return pin
+
+
 @pytest.fixture(scope="session")
 def tiny_transcripts(ray_session):
     """Deterministic tiny transcript parquet (cached under /tmp)."""

@@ -451,7 +451,8 @@ def test_near_dup_clusters_chain_and_routes(ray_session):
             == solo.sort_values("doc_id")["doc_id"].to_numpy()).all()
 
 
-def test_contamination_overlap_routes_and_bruteforce(ray_session):
+def test_contamination_overlap_routes_and_bruteforce(ray_session,
+                                                     pin_exchange_partitions):
     """contamination_overlap == the per-doc distinct-gram intersection
     computed directly, on BOTH routes (broadcast and the forced
     gram-partitioned join), including planted exact contamination, partial
@@ -462,6 +463,8 @@ def test_contamination_overlap_routes_and_bruteforce(ray_session):
     from ontonotes_5_parsing_ray.stages.decontaminate import (
         contamination_overlap,
     )
+
+    pin_exchange_partitions(8)
 
     rng = np.random.RandomState(11)
     vocab = [f"w{i}" for i in range(30)]
@@ -502,7 +505,6 @@ def test_contamination_overlap_routes_and_bruteforce(ray_session):
     for limit in (2_000_000, 0):  # broadcast route, then forced join route
         out = contamination_overlap(
             corpus, bench, gram_n=3, broadcast_limit=limit,
-            num_partitions=8,
         ).to_pandas()
         got = dict(zip(out["doc_id"].astype(int),
                        out["n_overlap"].astype(int)))
@@ -561,7 +563,8 @@ def test_pair_budget_tightens_cap_and_routes(ray_session, monkeypatch):
     assert len(got_full) > len(got_capped)
 
 
-def test_dup_window_stats_planted_duplicates(ray_session):
+def test_dup_window_stats_planted_duplicates(ray_session,
+                                             pin_exchange_partitions):
     """Exact substring-duplication scoring: planted cross-doc and
     within-doc duplicated 3-token windows are counted by POSITION, unique
     text scores zero, and short docs (< k tokens) drop out."""
@@ -569,6 +572,8 @@ def test_dup_window_stats_planted_duplicates(ray_session):
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.dedup import dup_window_stats
+
+    pin_exchange_partitions(8)
 
     docs = rd.from_pandas(pd.DataFrame({
         "doc_id": [1, 2, 3, 4, 5],
@@ -580,7 +585,7 @@ def test_dup_window_stats_planted_duplicates(ray_session):
             "too short",                      # < 3 tokens -> dropped
         ],
     })).repartition(3)
-    out = (dup_window_stats(docs, k=3, num_partitions=8)
+    out = (dup_window_stats(docs, k=3)
            .to_pandas().set_index("doc_id").sort_index())
 
     assert list(out.index) == [1, 2, 3, 4]
@@ -593,7 +598,7 @@ def test_dup_window_stats_planted_duplicates(ray_session):
     assert out.loc[4, "n_dup"] == 0 and out.loc[4, "dup_fraction"] == 0.0
 
 
-def test_token_typo_pairs_planted(ray_session):
+def test_token_typo_pairs_planted(ray_session, pin_exchange_partitions):
     """SymSpell deletion-variant pairing finds exactly the planted
     distance-1 pairs (substitution, insertion/deletion, both directions)
     and nothing at distance 2 — cross-checked against the full
@@ -604,12 +609,14 @@ def test_token_typo_pairs_planted(ray_session):
     from ontonotes_5_parsing_ray.functions.distance import levenshtein
     from ontonotes_5_parsing_ray.stages.dedup import token_typo_pairs
 
+    pin_exchange_partitions(8)
+
     vocab = ["table", "tible", "tables", "chair", "chairs", "chaim",
              "query", "queue", "data", "date", "gate", "plan",
              "xyzzy", "spark"]
-    out = (token_typo_pairs(
-        rd.from_pandas(pd.DataFrame({"token": vocab})).repartition(4),
-        num_partitions=8).to_pandas())
+    out = token_typo_pairs(
+        rd.from_pandas(pd.DataFrame({"token": vocab})).repartition(4)
+    ).to_pandas()
     got = set(zip(out["tok_a"], out["tok_b"]))
     expect = set()
     for i in range(len(vocab)):

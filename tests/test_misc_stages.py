@@ -130,7 +130,8 @@ def test_preagg_groupby_distributed_combine_equals_driver(ray_session):
     assert np.allclose(small["hi"], big["hi"])
 
 
-def test_rewrite_annotations_partitioned_equals_kernel(ray_session):
+def test_rewrite_annotations_partitioned_equals_kernel(
+        ray_session, pin_exchange_partitions):
     """Round-2: the conv-partitioned distributed rewrite must equal the pure
     kernel applied to the whole frame (turn locality is preserved because
     the shuffle key is a function of conv_id), including span merges where
@@ -142,6 +143,8 @@ def test_rewrite_annotations_partitioned_equals_kernel(ray_session):
         rewrite_annotations,
         rewrite_frame,
     )
+
+    pin_exchange_partitions(7)
 
     rows = []
     for c in range(20):
@@ -159,7 +162,7 @@ def test_rewrite_annotations_partitioned_equals_kernel(ray_session):
     expected = rewrite_frame(df, rules).sort_values(
         ["conv_id", "turn_idx", "kind", "tag", "start"]).reset_index(drop=True)
     got = rewrite_annotations(
-        rd.from_pandas(df), rules, num_partitions=7
+        rd.from_pandas(df), rules
     ).to_pandas().sort_values(
         ["conv_id", "turn_idx", "kind", "tag", "start"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got[expected.columns], expected)
@@ -168,7 +171,8 @@ def test_rewrite_annotations_partitioned_equals_kernel(ray_session):
     assert list(zip(nn["start"], nn["end"])) == [(0, 9)]
 
 
-def test_sessionize_salted_equals_plain_with_hot_user(ray_session):
+def test_sessionize_salted_equals_plain_with_hot_user(ray_session,
+                                                      pin_exchange_partitions):
     """Two-phase sessionization == single-group sessionization, including a
     hot user whose sessions straddle time-bucket boundaries."""
     import numpy as np
@@ -180,6 +184,8 @@ def test_sessionize_salted_equals_plain_with_hot_user(ray_session):
         sessionize_events,
         sessionize_events_salted,
     )
+
+    pin_exchange_partitions(8)
 
     rng = np.random.RandomState(9)
     rows = []
@@ -214,8 +220,8 @@ def test_sessionize_salted_equals_plain_with_hot_user(ray_session):
     plain = sessionize_events(ds, 1800).to_pandas()[cols] \
         .sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     # bucket_seconds=3600 forces the hot user's long session across ~40 buckets
-    salted = sessionize_events_salted(ds, 1800, bucket_seconds=3600,
-                                      num_partitions=8).to_pandas()[cols] \
+    salted = sessionize_events_salted(ds, 1800, bucket_seconds=3600) \
+        .to_pandas()[cols] \
         .sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         plain.astype({"session_idx": "int64"}),
@@ -305,9 +311,10 @@ def test_preagg_distributed_branch_equals_driver(ray_session):
 
 
 def test_auto_join_partitions_size_aware(ray_session):
-    """Join partition count: CPU floor for small/unknown inputs, scales with
-    known byte size (one bucket <= target), capped; explicit num_partitions
-    always wins. _known_size_bytes must not trigger execution."""
+    """Exchange partition count (the rule behind every hash exchange): CPU
+    floor for small/unknown inputs, scales with the largest known byte size
+    (one bucket <= target), capped. _known_size_bytes must not trigger
+    execution."""
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.relational import (
@@ -496,7 +503,7 @@ def test_asof_join_salted_equals_unsalted_hot_key(ray_session):
         truth[["uid", "t", "lval", "rval"]], check_dtype=False)
 
 
-def test_asof_join_mismatched_key_dtypes(ray_session):
+def test_asof_join_mismatched_key_dtypes(ray_session, pin_exchange_partitions):
     """ADVICE fix: int64 vs float64 ``by`` columns hash to different
     partitions under pandas hash_array — the canonical float64 cast must
     keep equal keys co-partitioned so matches are found, not dropped."""
@@ -505,6 +512,8 @@ def test_asof_join_mismatched_key_dtypes(ray_session):
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.relational import asof_join
+
+    pin_exchange_partitions(16)
 
     left = rd.from_arrow(pa.table({
         "uid": pa.array(list(range(64)), pa.int64()),
@@ -518,8 +527,7 @@ def test_asof_join_mismatched_key_dtypes(ray_session):
     }))
     out = asof_join(left, right, by="uid", on="t",
                     left_cols=["uid", "t", "lval"],
-                    right_cols=["uid", "t", "rval"],
-                    num_partitions=16).to_pandas()
+                    right_cols=["uid", "t", "rval"]).to_pandas()
     # every left row finds its (equal-valued, differently-typed) key match
     assert out["rval"].notna().all()
     assert sorted(out["rval"]) == [float(i) for i in range(64)]
@@ -597,7 +605,7 @@ def test_grouped_median_big_key_offload(ray_session):
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.relational import (
-        _grouped_median_distributed,
+        _grouped_quantiles_distributed,
         _partials_ds,
         grouped_median,
     )
@@ -614,8 +622,9 @@ def test_grouped_median_big_key_offload(ray_session):
     parts = _partials_ds(
         ds, ["k"], {"n": ("v", "count"),
                     "mn": ("v", "min"), "mx": ("v", "max")}).materialize()
-    out = _grouped_median_distributed(
-        ds, "k", "v", 2048, parts, big_key_limit=10_000)
+    out = _grouped_quantiles_distributed(
+        ds, "k", "v", [0.5], ["median_value"], 2048, parts,
+        big_key_limit=10_000)
     truth = pd.DataFrame({"k": keys, "v": vals}).groupby("k")["v"] \
         .median().reset_index()
     assert len(out) == len(truth)
@@ -751,7 +760,8 @@ def test_lag_by_key_matches_pandas_shift(ray_session):
                                        check_dtype=False)
 
 
-def test_interval_join_matches_bruteforce(ray_session):
+def test_interval_join_matches_bruteforce(ray_session,
+                                          pin_exchange_partitions):
     """interval_join == the brute-force all-pairs predicate
     (l.t < r.t <= l.t + window, same key) on a stream with a hot key,
     window-boundary ties, and matches that straddle bucket boundaries
@@ -763,6 +773,8 @@ def test_interval_join_matches_bruteforce(ray_session):
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.relational import interval_join
+
+    pin_exchange_partitions(16)
 
     rng = np.random.RandomState(47)
     window = 100
@@ -784,7 +796,7 @@ def test_interval_join_matches_bruteforce(ray_session):
     right = rd.from_arrow(pa.Table.from_pandas(rdf)).repartition(6)
 
     out = interval_join(left, right, key_col="user_id", time_col="ep",
-                        window=window, num_partitions=16).to_pandas()
+                        window=window).to_pandas()
 
     m = ldf.merge(rdf, on="user_id", suffixes=("_l", "_r"))
     m = m[(m["ep_r"] > m["ep_l"]) & (m["ep_r"] <= m["ep_l"] + window)]
@@ -961,7 +973,8 @@ def test_pagerank_join_route_directed_int_keys(ray_session):
     assert abs(jn[3] - 0.15 / n) < 1e-12         # pure source at base rank
 
 
-def test_triangle_counts_matches_bruteforce(ray_session):
+def test_triangle_counts_matches_bruteforce(ray_session,
+                                            pin_exchange_partitions):
     """triangle_counts == brute-force triangle enumeration on a random
     graph fed as DIRECTED, DUPLICATED edges (canonicalization must
     dedupe); nodes outside any triangle are absent."""
@@ -973,6 +986,8 @@ def test_triangle_counts_matches_bruteforce(ray_session):
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.graph import triangle_counts
+
+    pin_exchange_partitions(8)
 
     rng = np.random.RandomState(21)
     n_nodes = 40
@@ -986,7 +1001,7 @@ def test_triangle_counts_matches_bruteforce(ray_session):
     ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False)) \
         .repartition(5)
 
-    out = triangle_counts(ds, num_partitions=8).to_pandas()
+    out = triangle_counts(ds).to_pandas()
     got = dict(zip(out["node"].astype(int), out["n_triangles"].astype(int)))
 
     adj = {i: set() for i in range(n_nodes)}
@@ -1125,7 +1140,8 @@ def test_hll_query_within_error_bound(ray_session):
         assert abs(a - e) / max(e, 1) < 0.05, (et, a, e)
 
 
-def test_triangle_max_degree_cap_and_interval_time_guard(ray_session):
+def test_triangle_max_degree_cap_and_interval_time_guard(
+        ray_session, pin_exchange_partitions):
     """Scale guards: a degenerate hub node cannot blow up wedge expansion
     (capped, counts become lower bounds, non-hub triangles exact); and
     interval_join fail-stops on time values that would corrupt its 32-bit
@@ -1139,12 +1155,14 @@ def test_triangle_max_degree_cap_and_interval_time_guard(ray_session):
     from ontonotes_5_parsing_ray.stages.graph import triangle_counts
     from ontonotes_5_parsing_ray.stages.relational import interval_join
 
+    pin_exchange_partitions(4)
+
     # star around hub 0 with one real triangle (1-2-0) off to the side
     hub_edges = [(0, i) for i in range(1, 200)] + [(1, 2)]
     ds = rd.from_arrow(pa.Table.from_pandas(
         pd.DataFrame(hub_edges, columns=["src", "dst"]),
         preserve_index=False))
-    capped = triangle_counts(ds, num_partitions=4, max_degree=10) \
+    capped = triangle_counts(ds, max_degree=10) \
         .to_pandas()
     # hub kept only neighbors 1..10; triangle (0,1,2) still found because
     # 1 and 2 are among the smallest ids — and NOTHING blew up
