@@ -11,17 +11,22 @@ Re-implements the reference's alignment semantics:
   (same feasible segmentations, same earliest-split tie-breaking),
 * the escalating-cost retry ladder (``utils.py:657-709``).
 
+Wordpiece tokens (continuation pieces marked ``##``) are glued back into
+words before alignment, so they align exactly and in linear time; the fuzzy
+ladder runs only for real word-level mismatches between tokens and text.
+
 All functions are pure; the Ray annotation stage calls them per row inside
 ``map_batches``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import re
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .distance import levenshtein, levenshtein_cached
+from .distance import levenshtein_cached
 from .spans import Span, check_spans
 from .text import tokenize_any_text
 
@@ -194,51 +199,98 @@ def fuzzy_token_bounds(
     return bounds
 
 
+# A continuation piece: the marker followed by a word character, so the
+# punctuation tokens "##" and "###" stay words of their own.
+_CONTINUATION_RE = re.compile(r"##\w")
+
+
+def glue_wordpieces(tokens: Sequence[str]) -> List[List[str]]:
+    """Group wordpiece tokens into words: each continuation piece
+    ``"##" + w`` joins the token before it, with the marker removed.
+
+    Returns one list of pieces per word; ``"".join(pieces)`` is the word. A
+    continuation piece with no token before it starts a word of its own.
+    """
+    pieces: List[List[str]] = []
+    for tok in tokens:
+        if pieces and _CONTINUATION_RE.match(tok):
+            pieces[-1].append(tok[2:])
+        else:
+            pieces.append([tok])
+    return pieces
+
+
+def split_word_bounds(
+    text: str, word_bounds: Sequence[Span], pieces: Sequence[Sequence[str]]
+) -> List[Span]:
+    """Split each word's span into one span per piece.
+
+    A word whose text equals its joined pieces is cut at the piece lengths;
+    any other word (a fuzzy match) goes through
+    :func:`split_word_into_subwords`.
+    """
+    bounds: List[Span] = []
+    for (start, end), word_pieces in zip(word_bounds, pieces):
+        if len(word_pieces) == 1:
+            bounds.append((start, end))
+        elif text[start:end] == "".join(word_pieces):
+            for piece in word_pieces:
+                bounds.append((start, start + len(piece)))
+                start += len(piece)
+        else:
+            sub_bounds, _ = split_word_into_subwords(text[start:end], word_pieces)
+            bounds += [(s + start, e + start) for s, e in sub_bounds]
+    return bounds
+
+
+def _ladder_costs(max_restarts: int) -> Iterator[Tuple[float, float]]:
+    """(insertion, deletion) costs of the fuzzy attempts (utils.py:657-709):
+    (1, 1); then insertion escalates by 1 for ``max_restarts`` attempts;
+    then insertion resets to 1 and deletion escalates the same way."""
+    yield 1.0, 1.0
+    for step in range(1, max_restarts + 1):
+        yield 1.0 + step, 1.0
+    for step in range(1, max_restarts + 1):
+        yield 1.0, 1.0 + step
+
+
 def align_tokens(
     text: str,
     tokens: Sequence[str],
     max_restarts: int = 5,
 ) -> List[Span]:
-    """Exact alignment with the escalating-cost fuzzy fallback ladder.
+    """Wordpiece-aware exact alignment with the escalating-cost fuzzy ladder.
 
-    Mirrors the reference control flow (utils.py:657-709): exact first; then
-    fuzzy with (ins=1, del=1); then insertion cost escalates by 1 up to
-    ``max_restarts`` attempts; then insertion resets to 1 and deletion cost
-    escalates. Each fuzzy attempt is validated with :func:`check_spans`.
+    Continuation pieces are glued into words (:func:`glue_wordpieces`), the
+    words are aligned, and each word's span is split back into its pieces
+    (:func:`split_word_bounds`). Token lists without continuation pieces
+    align their tokens as they are.
+
+    Words align exactly first; only if that fails does the reference's
+    fuzzy ladder run (utils.py:657-709, see :func:`_ladder_costs`), each
+    attempt validated with :func:`check_spans` on the split spans.
     Raises ``ValueError`` when every attempt fails.
     """
+    pieces = glue_wordpieces(tokens)
+    words = ["".join(p) for p in pieces]
+
+    def split(word_bounds: List[Span]) -> List[Span]:
+        if len(pieces) == len(tokens):
+            return word_bounds
+        return split_word_bounds(text, word_bounds, pieces)
+
     try:
-        return exact_token_bounds(text, tokens)
+        return split(exact_token_bounds(text, words))
     except ValueError:
         pass
-    insertion, deletion = 1.0, 1.0
-    bounds: List[Span] = []
-    ok = False
-    try:
-        bounds = fuzzy_token_bounds(text, tokens, insertion, deletion)
-        ok = check_spans(text, bounds) == ""
-    except Exception:
-        ok = False
-    restarts = 1
-    while not ok and restarts <= max_restarts:
-        insertion += 1.0
+    for insertion, deletion in _ladder_costs(max_restarts):
         try:
-            bounds = fuzzy_token_bounds(text, tokens, insertion, deletion)
-            ok = check_spans(text, bounds) == ""
+            bounds = split(fuzzy_token_bounds(text, words, insertion, deletion))
+            if check_spans(text, bounds) == "":
+                break
         except Exception:
-            ok = False
-        restarts += 1
-    if not ok:
-        insertion = 1.0
-        while not ok and restarts <= 2 * max_restarts:
-            deletion += 1.0
-            try:
-                bounds = fuzzy_token_bounds(text, tokens, insertion, deletion)
-                ok = check_spans(text, bounds) == ""
-            except Exception:
-                ok = False
-            restarts += 1
-    if not ok:
+            pass
+    else:
         raise ValueError(f'Text "{text}" cannot be aligned with tokens {list(tokens)}')
     if len(bounds) != len(tokens):
         raise ValueError(

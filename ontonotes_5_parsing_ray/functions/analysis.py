@@ -12,7 +12,7 @@ expression exists (DuckDB oracle parity — see ``__ray_entry__.oracle_sql``):
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from .text import tokenize_any_text
 

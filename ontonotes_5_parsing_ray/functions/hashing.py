@@ -10,7 +10,7 @@ second-stage groupby (see ``stages/dedup.py``).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set
 
 import numpy as np
 

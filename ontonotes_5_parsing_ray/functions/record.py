@@ -29,7 +29,6 @@ from .spans import (
     unite_overlapping_spans,
 )
 from .text import (
-    blank_special_tokens,
     collapse_double_spaces,
     is_special_token,
     matches_any,
@@ -106,11 +105,12 @@ def subword_split_tokens(
     """Deterministic BPE-ish re-tokenization: long alphabetic tokens become
     ``piece``-char chunks, continuation chunks prefixed ``##``.
 
-    This simulates a model tokenizer whose tokens are *not* substrings of the
-    raw text, forcing the exact->fuzzy alignment ladder plus subword-span
-    splitting — the target analogue of the reference's treebank-vs-plain-text
-    mismatch (utils.py:287-404). BIO labels propagate B- to the first chunk
-    and I- to continuations; tag paths are inherited.
+    This simulates a model tokenizer whose continuation tokens are *not*
+    substrings of the raw text. :func:`align_tokens` glues the chunks back
+    into words, aligns the words exactly and cuts each word's span at the
+    chunk lengths, so each chunk's span covers exactly the chunk without
+    its marker. BIO labels propagate B- to the first chunk and I- to
+    continuations; tag paths are inherited.
     """
     out: List[Tuple[str, List[str], str]] = []
     for tok, path, lab in tokens_with_labels:
@@ -134,8 +134,8 @@ def annotate_turn_text(
     ``error`` carries the message — the dead-letter data path (the reference's
     ``(records, err_msg)`` channel, utils.py:866-868). Never raises for
     malformed content. With ``simulate_model_tokens`` the token stream is
-    re-chunked via :func:`subword_split_tokens` so alignment takes the fuzzy
-    path.
+    re-chunked via :func:`subword_split_tokens` so alignment takes the
+    wordpiece path of :func:`align_tokens`.
     """
     try:
         raw_tokens = tokenize_any_text(text)

@@ -67,23 +67,29 @@ def check_spans(text: str, spans: Sequence[Span]) -> str:
     """Validate span invariants; returns '' if OK else an error message.
 
     Invariants (utils.py:454-486): sorted & non-overlapping, non-empty,
-    within the text, and stripped (no leading/trailing whitespace).
+    within the text, and stripped (no leading/trailing whitespace). The
+    message, which lists every span, is built only for the failing span, so
+    a passing check is O(n log n).
     """
     prev_pos = 0
     for start, end in sorted(spans, key=lambda s: (s[0], s[1])):
-        base = f"Item {(start, end)} in the bounds list {list(spans)} is wrong!"
-        if start >= end:
-            return base + f" start={start} >= end={end}"
-        if start < prev_pos:
-            return base + f" start={start} < prev_end={prev_pos}"
-        if end > len(text):
-            return base + f" end={end} > len(text)={len(text)}"
         chunk = text[start:end]
-        if not chunk.strip():
-            return base + f" text[{start}:{end}] is empty!"
-        if chunk != chunk.strip():
-            return base + f" text[{start}:{end}] is not stripped!"
-        prev_pos = end
+        stripped = chunk.strip()
+        if start >= end:
+            problem = f" start={start} >= end={end}"
+        elif start < prev_pos:
+            problem = f" start={start} < prev_end={prev_pos}"
+        elif end > len(text):
+            problem = f" end={end} > len(text)={len(text)}"
+        elif not stripped:
+            problem = f" text[{start}:{end}] is empty!"
+        elif chunk != stripped:
+            problem = f" text[{start}:{end}] is not stripped!"
+        else:
+            prev_pos = end
+            continue
+        return (f"Item {(start, end)} in the bounds list {list(spans)} is wrong!"
+                + problem)
     return ""
 
 

@@ -11,7 +11,7 @@ deterministic-min canonical-naming rule is reused for entity canonical IDs.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from .distance import levenshtein_cached
 

@@ -69,16 +69,3 @@ def matches_any(pattern: Pattern, sequence: Sequence[str]) -> bool:
     """True if the regex matches any element (reference utils.py:489-499)."""
     return any(pattern.search(item) is not None for item in sequence)
 
-
-def blank_special_tokens(text: str, tokens: Sequence[str]) -> str:
-    """Replace every special-token occurrence in ``text`` with a space.
-
-    Mirrors the reference's plain-text cleanup where trace tokens present in
-    the token stream are blanked from the sentence text before alignment
-    (utils.py:640-648); whitespace is re-normalized by the caller via
-    :func:`collapse_double_spaces`.
-    """
-    for tok in tokens:
-        if is_special_token(tok):
-            text = text.replace(tok, " ")
-    return text

@@ -12,7 +12,7 @@ stages (``functions/``), so the distributed result must match exactly.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import pandas as pd
 import pyarrow as pa

@@ -26,7 +26,6 @@ engines needs both directions:
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, Optional, Tuple
 
 import pandas as pd

@@ -11,7 +11,6 @@ the single-process oracle.
 from __future__ import annotations
 
 import os
-import re
 from typing import Dict
 
 import pandas as pd

@@ -13,7 +13,6 @@ what shuffles, what stays streaming.
 from __future__ import annotations
 
 import os
-from typing import Dict
 
 import numpy as np
 import pandas as pd

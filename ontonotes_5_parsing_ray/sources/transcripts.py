@@ -6,8 +6,10 @@ ts:timestamp[us])`` — fully seeded, no wall clock, no external data
 (FIXTURES.md §1). Content exercises every annotation path: gazetteer
 entities, verbs for SVO rules, pronouns for coref, EDITED disfluencies for
 special-token blanking, CJK turns for the char tokenizer, tool turns with
-long tokens for the fuzzy/subword alignment path, and surface variants
-("Acme Corp" / "Acme Corporation") for MinHash/LSH canonicalization.
+long tokens for the wordpiece (``##`` subword) alignment path, malformed
+turns (empty, whitespace-only, special-token-only) for the dead-letter path,
+and surface variants ("Acme Corp" / "Acme Corporation") for MinHash/LSH
+canonicalization.
 
 Rows are written deliberately out of turn order (seeded shuffle) so the
 pipeline's stable-ordering stage (groupby(conv_id) + in-group sort by
@@ -60,9 +62,16 @@ _TOOL_TEXTS = [
 
 _POOLS: Dict[str, List[str]] = {"PERSON": _PERSON, "ORG": _ORG, "GPE": _GPE}
 
+# Malformed turns (empty, whitespace-only, special-token-only): each
+# becomes a dead letter. About one turn in _MALFORMED_EVERY gets one, chosen
+# from the conversation hash and turn index, not the RNG, so every other
+# turn's content is unchanged.
+_MALFORMED_TEXTS = ["", " \t\n ", "EDITED EDITED"]
+_MALFORMED_EVERY = 97
+
 
 # Bump when row content changes: invalidates cached parquet under /tmp.
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 
 
 def _turn_rows(
@@ -98,6 +107,8 @@ def _turn_rows(
             # Per-turn unique reference token: realistic text entropy so
             # bench runs measure real per-turn compute, not memo hits.
             text = f"{text} ref{conv_tag}x{turn_idx}"
+        if (conv_tag + turn_idx) % _MALFORMED_EVERY == 0:
+            text = _MALFORMED_TEXTS[turn_idx % len(_MALFORMED_TEXTS)]
         rows.append((
             conv_id,
             turn_idx,

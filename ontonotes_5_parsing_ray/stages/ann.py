@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import pandas as pd

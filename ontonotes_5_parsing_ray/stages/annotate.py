@@ -53,8 +53,8 @@ def _annotate(text: str, subwords: bool, emit: str) -> Tuple[str, str, str, str]
 
 
 def annotate_turns(batch: pa.Table, emit: str = "record") -> pa.Table:
-    """Annotate each turn of an Arrow batch; tool turns take the subword
-    (fuzzy-alignment) path.
+    """Annotate each turn of an Arrow batch; tool turns take the wordpiece
+    (subword) alignment path.
 
     Real transcript corpora repeat boilerplate turns (greetings, tool
     preambles) heavily, so each distinct ``(text, is_tool)`` in the batch is

@@ -33,7 +33,6 @@ from typing import Dict, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data as rd
 from ray.data.aggregate import Min
 
@@ -48,7 +47,6 @@ from ..functions.hashing import (
     MinHasher,
     char_shingles,
     hash64_vec,
-    stable_hash64,
 )
 from .relational import partition_map_groups
 

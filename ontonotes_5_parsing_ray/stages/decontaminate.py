@@ -21,8 +21,6 @@ MinHash shingle builder), so the DuckDB oracle twin is the identical
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa

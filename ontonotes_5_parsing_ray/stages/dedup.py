@@ -44,13 +44,11 @@ from functools import lru_cache
 from ..functions.rounding import round_half_away
 from ..functions.hashing import (
     MinHasher,
-    char_shingles,
     hamming64,
     hash64_pair,
     hash64_vec,
     jaccard,
     simhash64,
-    stable_hash64,
     word_shingles,
 )
 

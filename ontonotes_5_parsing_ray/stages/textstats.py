@@ -18,7 +18,7 @@ from ..functions.analysis import (
     n_tokens_sqlish,
     quality_metrics,
 )
-from ..functions.hashing import rolling_fingerprint, simhash64, stable_hash64
+from ..functions.hashing import rolling_fingerprint, simhash64
 from ..functions.rounding import round_half_away
 
 

@@ -374,3 +374,26 @@ def test_annotate_is_fused_into_the_read(ray_session, tiny_transcripts, tmp_path
         assert row.error == err
         assert row.link_json == (
             "" if record is None else _link_payload_json(record))
+
+
+def test_errors_keep_their_schema_without_dead_letters(ray_session, tiny_table,
+                                                       tmp_path):
+    """On an input whose every turn annotates cleanly the errors table is
+    empty but typed. (Ray's ``to_pandas()`` of an all-empty Dataset has no
+    columns, so the check reads ``schema()``.)"""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ontonotes_5_parsing_ray.functions.record import annotate_turn_text
+    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+
+    ok = [annotate_turn_text(t, simulate_model_tokens=r == "tool")[0]
+          is not None for t, r in zip(tiny_table.column("text").to_pylist(),
+                                      tiny_table.column("role").to_pylist())]
+    assert not all(ok)
+    src = str(tmp_path / "all_ok.parquet")
+    pq.write_table(tiny_table.filter(pa.array(ok)), src)
+    out = run_kg_pipeline(src, concurrency=2)
+    assert out["errors"].count() == 0
+    assert out["errors"].schema().names == ["conv_id", "turn_idx", "error"]
+    assert out["triples"].count() > 100

@@ -73,6 +73,42 @@ def test_align_own_tokenization_roundtrip(words):
         prev = e
 
 
+# Words long enough (9+ letters) for subword_split_tokens to cut, mixed with
+# short words, "#" runs and arbitrary unicode.
+WORDPIECE_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(
+        st.one_of(
+            st.text(alphabet="abcdefghijKLM", min_size=1, max_size=14),
+            st.sampled_from(["##", "###", "##abc", "x##", ".", "他", "12"]),
+        ),
+        min_size=1, max_size=12,
+    ).map(" ".join),
+)
+
+
+@given(WORDPIECE_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_align_wordpieces_cover_their_chunks(text):
+    """On ``subword_split_tokens`` output, each span from ``align_tokens``
+    covers exactly its chunk with the ``##`` marker removed."""
+    from ontonotes_5_parsing_ray.functions.record import subword_split_tokens
+
+    tokens = tokenize_any_text(text)
+    if not tokens:
+        return
+    # The chunks, computed independently of the marker: 9+ letter alphabetic
+    # tokens are cut into 4-character pieces.
+    chunks = [piece for tok in tokens
+              for piece in ([tok[i: i + 4] for i in range(0, len(tok), 4)]
+                            if len(tok) >= 9 and tok.isalpha() else [tok])]
+    split = [tok for tok, _, _ in
+             subword_split_tokens([(tok, ["X"], "O") for tok in tokens])]
+    bounds = align_tokens(text, split)
+    assert [text[s:e] for s, e in bounds] == chunks
+    assert check_spans(text, bounds) == ""
+
+
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 5)),
                 min_size=0, max_size=8))
 @settings(max_examples=150, deadline=None)
