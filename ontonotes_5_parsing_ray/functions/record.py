@@ -16,7 +16,7 @@ makes the distributed pipeline bit-identical to the golden extractor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .align import align_tokens
 from .bio import bio_label_tokens, fold_bio_to_entity_spans
@@ -125,6 +125,22 @@ def subword_split_tokens(
     return out
 
 
+def _blank_tokens(text: str, tokens: List[str], which: Set[int]) -> str:
+    """``text`` with each token at an index in ``which`` of its own token
+    stream ``tokens`` replaced by one space: whole tokens only, never the
+    same letters inside a longer word. Tokens are consecutive substrings of
+    the text, so a search from the end of the previous token finds each
+    token's own start."""
+    pieces, cut, pos = [], 0, 0
+    for i, tok in enumerate(tokens):
+        pos = text.index(tok, pos)
+        if i in which:
+            pieces += [text[cut:pos], " "]
+            cut = pos + len(tok)
+        pos += len(tok)
+    return "".join(pieces) + text[cut:]
+
+
 def annotate_turn_text(
     text: str, simulate_model_tokens: bool = False
 ) -> Tuple[Optional[AnnotationRecord], str]:
@@ -145,22 +161,15 @@ def annotate_turn_text(
         bio = bio_label_tokens([t for t, _ in parsed])
         # Filter tokens whose *tag path* hits the special-token pattern, then
         # blank special surface tokens from the text (utils.py:627-648).
-        tokens_with_labels: List[Tuple[str, List[str], str]] = [
-            (tok, path, lab)
-            for (tok, path), lab in zip(parsed, bio)
-            if not matches_any(SPECIAL_TOKEN_RE, path)
-        ]
-        if not tokens_with_labels:
+        kept = [i for i, (_, path) in enumerate(parsed)
+                if not matches_any(SPECIAL_TOKEN_RE, path)]
+        if not kept:
             return None, "no tokens after special filtering"
-        plain_text = text
-        kept: List[Tuple[str, List[str], str]] = []
-        for tok, path, lab in tokens_with_labels:
-            if is_special_token(tok):
-                plain_text = plain_text.replace(tok, " ")
-            else:
-                kept.append((tok, path, lab))
-        tokens_with_labels = kept
-        plain_text = collapse_double_spaces(plain_text)
+        special = {i for i in kept if is_special_token(parsed[i][0])}
+        tokens_with_labels: List[Tuple[str, List[str], str]] = [
+            (*parsed[i], bio[i]) for i in kept if i not in special]
+        plain_text = collapse_double_spaces(
+            _blank_tokens(text, raw_tokens, special) if special else text)
         if not tokens_with_labels or not plain_text:
             return None, "empty after normalization"
         if simulate_model_tokens:

@@ -56,6 +56,7 @@ from ..stages.link import (
     finalize_partition,
     link_partition,
     resolve_buckets,
+    union_schema,
 )
 from ..stages.relational import hash_join
 
@@ -253,24 +254,27 @@ def annotate_and_link(
     return link(annotate(ds, concurrency=concurrency, emit="link"))
 
 
+def _mention_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t.column("row_kind"), "mention")).select(
+        ["conv_id", "turn_idx", "start", "end", "surface", "entity_type",
+         "is_pronoun", "chain_id", "antecedent", "ts", "lang"])
+
+
+def _triple_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t.column("row_kind"), "triple")).select(
+        ["conv_id", "turn_idx", "pred", "subj", "obj", "subj_type",
+         "obj_type"])
+
+
+def _error_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t.column("row_kind"), "error")).select(
+        ["conv_id", "turn_idx", "error"])
+
+
 def split_linked(linked: rd.Dataset):
     """Vectorized split of the union table into mentions / raw triples."""
-    mentions = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column("row_kind"), "mention")).select(
-            ["conv_id", "turn_idx", "start", "end", "surface",
-             "entity_type", "is_pronoun", "chain_id", "antecedent",
-             "ts", "lang"]
-        ),
-        batch_format="pyarrow",
-    )
-    triples = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column("row_kind"), "triple")).select(
-            ["conv_id", "turn_idx", "pred", "subj", "obj",
-             "subj_type", "obj_type"]
-        ),
-        batch_format="pyarrow",
-    )
-    return mentions, triples
+    return (linked.map_batches(_mention_rows, batch_format="pyarrow"),
+            linked.map_batches(_triple_rows, batch_format="pyarrow"))
 
 
 def surfaces_for_canon(mentions: rd.Dataset, triples: rd.Dataset) -> rd.Dataset:
@@ -296,6 +300,24 @@ def surfaces_for_canon(mentions: rd.Dataset, triples: rd.Dataset) -> rd.Dataset:
 Canon = Union[ray.ObjectRef, rd.Dataset]
 
 
+def _norms(t: pa.Table, c: str) -> List[str]:
+    return [normalize_surface(s) for s in t.column(c).to_pylist()]
+
+
+def _canonical(hits: list, ns: List[str]) -> pa.Array:
+    return pa.array([h if h is not None else n
+                     for h, n in zip(hits, ns)], pa.string())
+
+
+def _lookup_canonical(t: pa.Table, mapping: Dict[str, str],
+                      columns: Dict[str, str]) -> pa.Table:
+    """The broadcast route of :func:`_with_canonical` on one batch."""
+    for c, name in columns.items():
+        ns = _norms(t, c)
+        t = t.append_column(name, _canonical([mapping.get(n) for n in ns], ns))
+    return t
+
+
 def _with_canonical(ds: rd.Dataset, canon: Canon,
                     columns: Dict[str, str]) -> rd.Dataset:
     """Append, for each ``surface column -> output column`` pair, the
@@ -304,36 +326,23 @@ def _with_canonical(ds: rd.Dataset, canon: Canon,
     ``.get`` per row, no shuffle) or the canon-map Dataset (one left hash
     join per column on the norm, nothing on the driver) — the lookup is the
     only difference between the two routes."""
-    def norms(t: pa.Table, c: str) -> List[str]:
-        return [normalize_surface(s) for s in t.column(c).to_pylist()]
-
-    def canonical(hits: list, ns: List[str]) -> pa.Array:
-        return pa.array([h if h is not None else n
-                         for h, n in zip(hits, ns)], pa.string())
-
     if isinstance(canon, ray.ObjectRef):
-        def lookup(t: pa.Table) -> pa.Table:
-            mapping: Dict[str, str] = ray.get(canon)
-            for c, name in columns.items():
-                ns = norms(t, c)
-                t = t.append_column(
-                    name, canonical([mapping.get(n) for n in ns], ns))
-            return t
-
-        return ds.map_batches(lookup, batch_format="pyarrow")
+        return ds.map_batches(
+            lambda t: _lookup_canonical(t, ray.get(canon), columns),
+            batch_format="pyarrow")
 
     norm = {c: f"{c}_norm" for c in columns}
     found = {c: f"{c}_canon_j" for c in columns}
 
     def add_norms(t: pa.Table) -> pa.Table:
         for c in columns:
-            t = t.append_column(norm[c], pa.array(norms(t, c), pa.string()))
+            t = t.append_column(norm[c], pa.array(_norms(t, c), pa.string()))
         return t
 
     def finish(t: pa.Table) -> pa.Table:
         out = t.drop_columns([*norm.values(), *found.values()])
         for c, name in columns.items():
-            out = out.append_column(name, canonical(
+            out = out.append_column(name, _canonical(
                 t.column(found[c]).to_pylist(), t.column(norm[c]).to_pylist()))
         return out
 
@@ -347,21 +356,24 @@ def _with_canonical(ds: rd.Dataset, canon: Canon,
     return joined.map_batches(finish, batch_format="pyarrow")
 
 
+_TRIPLE_CANON = {"subj": "subj_canon", "obj": "obj_canon"}
+_NODE_CANON = {"surface": "canonical_surface"}
+
+
+def _add_canonical_ids(t: pa.Table) -> pa.Table:
+    for side in ("subj", "obj"):
+        t = t.append_column(f"{side}_id", pa.array(
+            [canonical_entity_id(c)
+             for c in t.column(f"{side}_canon").to_pylist()],
+            pa.string()))
+    return t
+
+
 def canonicalize_triples(triples: rd.Dataset, canon: Canon) -> rd.Dataset:
     """Rewrite subj/obj to canonical surfaces + ids (``canon``: the
     broadcast map's ``ObjectRef`` or the canon-map Dataset)."""
-
-    def add_ids(t: pa.Table) -> pa.Table:
-        for side in ("subj", "obj"):
-            t = t.append_column(f"{side}_id", pa.array(
-                [canonical_entity_id(c)
-                 for c in t.column(f"{side}_canon").to_pylist()],
-                pa.string()))
-        return t
-
-    return _with_canonical(
-        triples, canon, {"subj": "subj_canon", "obj": "obj_canon"}
-    ).map_batches(add_ids, batch_format="pyarrow")
+    return _with_canonical(triples, canon, _TRIPLE_CANON).map_batches(
+        _add_canonical_ids, batch_format="pyarrow")
 
 
 # Per-node surface_forms list cap: top-N by mention count. A pronoun-like
@@ -372,13 +384,9 @@ SURFACE_FORMS_CAP = 32
 NODE_KEYS = ["canonical_surface", "surface", "entity_type"]
 
 
-def _node_partials(batch: pa.Table) -> pa.Table:
+def _node_partials(df: pd.DataFrame) -> pa.Table:
     """Per-batch node partials keyed by (canonical surface, surface, type):
     mention count plus the (min conv, min turn) mention's provenance."""
-    df = batch.select(
-        ["canonical_surface", "conv_id", "turn_idx", "surface",
-         "entity_type", "ts", "lang"]
-    ).to_pandas()
     if not len(df):
         # dtype-stable empty frame: schemaless empty blocks confuse the
         # streaming executor's schema unification
@@ -451,28 +459,24 @@ def _combine_nodes(df: pd.DataFrame) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
+def _named_mentions(t: pa.Table) -> pa.Table:
+    return t.filter(pc.invert(t.column("is_pronoun"))).select(
+        ["conv_id", "turn_idx", "surface", "entity_type", "ts", "lang"])
+
+
+def _aggregate_nodes(named: rd.Dataset) -> rd.Dataset:
+    return relational.two_phase_aggregate(
+        named, ["canonical_surface"], _node_partials, _combine_nodes)
+
+
 def build_nodes(mentions: rd.Dataset, canon: Canon) -> rd.Dataset:
     """Node table via partial aggregation: non-pronoun mentions get their
     canonical surface (``canon``: the broadcast map's ``ObjectRef`` or the
-    canon-map Dataset), per-batch partials pre-aggregate before the shuffle
-    (SURVEY.md 'push aggregation partial'), then one combine."""
-    named = mentions.map_batches(
-        lambda t: t.filter(pc.invert(t.column("is_pronoun"))).select(
-            ["conv_id", "turn_idx", "surface", "entity_type", "ts", "lang"]),
-        batch_format="pyarrow",
-    )
-    parts = _with_canonical(
-        named, canon, {"surface": "canonical_surface"}
-    ).map_batches(_node_partials, batch_format="pyarrow").materialize()
-    # Vocabulary-sized partials combine on the driver with ONE call of the
-    # same vectorized kernel — a sort shuffle for a few hundred entities is
-    # pure fixed cost that dilutes the parallel fraction (measured in the
-    # 4-vs-16-CPU scaling ratio). Corpus-scale vocabularies keep the
-    # hash-partitioned distributed combine.
-    if 0 < parts.count() <= relational.PREAGG_DRIVER_LIMIT:
-        return rd.from_arrow(_combine_nodes(parts.to_pandas()))
-    return relational.partition_map_groups(
-        parts, "canonical_surface", _combine_nodes)
+    canon-map Dataset), per-batch partials pre-aggregate (SURVEY.md 'push
+    aggregation partial'), then one combine per canonical surface
+    (:func:`relational.two_phase_aggregate` picks driver or distributed)."""
+    named = mentions.map_batches(_named_mentions, batch_format="pyarrow")
+    return _aggregate_nodes(_with_canonical(named, canon, _NODE_CANON))
 
 
 EDGE_KEYS = ["subj_id", "pred", "obj_id", "subj_canon", "obj_canon"]
@@ -482,19 +486,32 @@ EDGE_AGGS = {"n_occurrences": ("conv_id", "count"),
 
 def build_edges(canon_triples: rd.Dataset) -> rd.Dataset:
     """Exact-dedup edges — the D2 analogue (``groupby((subj,pred,obj))
-    .first``) on the relational pre-aggregation engine: per-batch partial
-    counts, then one pandas combine on the driver for edge sets below
-    ``PREAGG_DRIVER_LIMIT`` partial rows (a shuffle there is pure fixed
-    cost) or the distributed native aggregate above it. subj_canon /
-    obj_canon are functions of the ids and ride in the group key."""
-    parts = relational._partials_ds(
+    .first``) on the relational pre-aggregation engine
+    (:func:`relational.preagg_groupby_ds`). subj_canon / obj_canon are
+    functions of the ids and ride in the group key."""
+    return relational.preagg_groupby_ds(
         canon_triples.select_columns(EDGE_KEYS + ["conv_id"]),
-        EDGE_KEYS, EDGE_AGGS,
-    ).materialize()  # pin pre-agg partials before the shuffle
-    if 0 < parts.count() <= relational.PREAGG_DRIVER_LIMIT:
-        return rd.from_arrow(relational.to_arrow(relational._combine_pandas(
-            parts.to_pandas(), EDGE_KEYS, EDGE_AGGS)))
-    return relational._combine_distributed(parts, EDGE_KEYS, EDGE_AGGS)
+        EDGE_KEYS, EDGE_AGGS)
+
+
+def _empty_graph() -> Dict[str, Callable[[], rd.Dataset]]:
+    """:func:`build_graph`'s builders for a corpus with no linked rows.
+    Ray Data runs no batch function on a 0-row block and emits column-less
+    blocks, so the row kernels run here once on the typed empty union table,
+    and the combines type their own 0-row output
+    (:func:`relational.two_phase_aggregate`)."""
+    linked = union_schema().empty_table()
+    mentions = _mention_rows(linked)
+    triples = _add_canonical_ids(
+        _lookup_canonical(_triple_rows(linked), {}, _TRIPLE_CANON))
+    named = _lookup_canonical(_named_mentions(mentions), {}, _NODE_CANON)
+    return {
+        "mentions": lambda: rd.from_arrow(mentions),
+        "triples": lambda: rd.from_arrow(triples),
+        "nodes": lambda: _aggregate_nodes(rd.from_arrow(named)),
+        "edges": lambda: build_edges(rd.from_arrow(triples)),
+        "errors": lambda: rd.from_arrow(_error_rows(linked)),
+    }
 
 
 def build_graph(linked: rd.Dataset, canon_map: rd.Dataset
@@ -510,17 +527,15 @@ def build_graph(linked: rd.Dataset, canon_map: rd.Dataset
     (``ray.put`` once); above it the map stays a Dataset and every lookup
     is a hash-partitioned left join — the driver never holds an over-limit
     map."""
+    if not linked.count():
+        return _empty_graph()
     mentions, triples = split_linked(linked)
     limit = canonicalize.BROADCAST_LIMIT
     canon: Canon = canon_map
     if canon_map.count() <= limit:
         canon = ray.put(canon_map_to_dict(canon_map, limit=limit))
     canon_triples = canonicalize_triples(triples, canon)
-    errors = linked.map_batches(
-        lambda t: t.filter(pc.equal(t.column("row_kind"), "error")).select(
-            ["conv_id", "turn_idx", "error"]),
-        batch_format="pyarrow",
-    )
+    errors = linked.map_batches(_error_rows, batch_format="pyarrow")
     return {
         "mentions": lambda: mentions,
         "triples": lambda: canon_triples,

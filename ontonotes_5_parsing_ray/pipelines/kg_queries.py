@@ -153,9 +153,8 @@ def media_features(sf_dir: str) -> pd.DataFrame:
     media parquet, LONG FORM: one row per (media_id, feature_idx) with the
     fake-decode histogram value — no list column, so the driver can
     value-hash it against a DuckDB twin that recomputes the byte histogram
-    from ``hex(payload)`` over the same file. The resize->decode
-    composition and the blake2b payload_crc stay covered by pytest
-    (neither is SQL-expressible)."""
+    from ``hex(payload)`` over the same file. The blake2b payload_crc
+    stays covered by pytest (it is not SQL-expressible)."""
     import numpy as np
 
     from ..stages.multimodal import decode_media, media_table_path

@@ -43,6 +43,7 @@ from ..state.checkpoint import (
     write_lineage,
 )
 from ..stages.canonicalize import build_canon_map
+from ..stages.link import union_schema
 from .kg import (
     annotate_and_link,
     build_graph,
@@ -167,7 +168,8 @@ def materialize_kg(
             lambda t: t.group_by("part").aggregate([("part", "count")]),
             batch_format="pyarrow",
         ).to_pandas()
-        rows_by_part = counts_df.groupby("part")["part_count"].sum().to_dict()
+        rows_by_part = (counts_df.groupby("part")["part_count"].sum().to_dict()
+                        if len(counts_df) else {})  # 0 rows: no columns
         # ONE hive-partitioned write for every pending partition, then
         # atomic per-partition renames + markers (resume granularity kept).
         tmp_root = os.path.join(linked_dir, ".tmp-write")
@@ -197,7 +199,9 @@ def materialize_kg(
         for d in part_dirs if os.path.isdir(d)
         for f in sorted(os.listdir(d)) if f.endswith(".parquet")
     ]
-    linked_all = rd.read_parquet(part_files)
+    # an input with no linked rows writes no linked files
+    linked_all = (rd.read_parquet(part_files) if part_files
+                  else rd.from_arrow(union_schema().empty_table()))
 
     # ---- stage 2: canonicalization (stage-resumable) ---------------------
     canon_parent = os.path.join(out_dir, "canonmap")

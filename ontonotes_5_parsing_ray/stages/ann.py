@@ -21,6 +21,7 @@ import ray
 import ray.data as rd
 
 from ..functions.rounding import round_half_away
+from .relational import two_phase_aggregate
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -531,23 +532,15 @@ def knn_ivf_indexed(
     ).head(k).reset_index(drop=True)
 
 
-LABEL_CENTROID_DRIVER_LIMIT = 200_000
-
-
-def label_centroids(
-    embeddings: rd.Dataset,
-    driver_limit: int = LABEL_CENTROID_DRIVER_LIMIT,
-) -> pd.DataFrame:
+def label_centroids(embeddings: rd.Dataset) -> pd.DataFrame:
     """Per-label mean vector via mergeable per-batch partial sums
-    (sum + count per label per batch — the shuffle moves one row per
-    (batch, label)). Small partial sets combine on the driver; above
-    ``driver_limit`` partial rows (labels x blocks at a scale where even
-    that is big), sums EXPLODE to (label, dim, s) rows and combine with a
-    native distributed Sum — vectors never ride a driver loop."""
+    (sum + count per label per batch — the combine moves one row per
+    (batch, label)), then one vector-sum combine per label, on the driver
+    or per partition as :func:`relational.two_phase_aggregate` picks."""
 
-    def partials(batch: pa.Table) -> pa.Table:
-        labels = np.asarray(batch.column("label").to_pylist())
-        vecs = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
+    def partials(batch: pd.DataFrame) -> pa.Table:
+        labels = batch["label"].to_numpy()
+        vecs = np.asarray(batch["embedding"].tolist(), dtype=np.float64)
         out_label, out_sum, out_n = [], [], []
         for lab in np.unique(labels):
             mask = labels == lab
@@ -560,49 +553,21 @@ def label_centroids(
             "n": pa.array(out_n, pa.int64()),
         })
 
-    parts = embeddings.select_columns(["label", "embedding"]).map_batches(
-        partials, batch_format="pyarrow"
-    ).materialize()
-
-    if parts.count() <= driver_limit:
-        df = parts.to_pandas()
-        rows = []
-        for label, group in df.groupby("label"):
+    def combine(parts: pd.DataFrame) -> pa.Table:
+        labels, ns, cents = [], [], []
+        for label, group in parts.groupby("label"):
             total = np.sum(np.asarray(group["vec_sum"].tolist()), axis=0)
-            n = group["n"].sum()
-            rows.append({"label": int(label), "n": int(n),
-                         "centroid": (total / n).tolist()})
-        return pd.DataFrame(rows).sort_values("label").reset_index(drop=True)
-
-    from ray.data.aggregate import Sum as RSum
-
-    def explode(batch: pa.Table) -> pa.Table:
-        labels = batch.column("label").to_pylist()
-        sums = batch.column("vec_sum").to_pylist()
-        ns = batch.column("n").to_pylist()
-        out_l, out_d, out_s, out_n = [], [], [], []
-        for lab, vs, n in zip(labels, sums, ns):
-            for d, s in enumerate(vs):
-                out_l.append(lab)
-                out_d.append(d)
-                out_s.append(s)
-                out_n.append(n if d == 0 else 0)  # count carried on dim 0
+            n = int(group["n"].sum())
+            labels.append(int(label))
+            ns.append(n)
+            cents.append((total / n).tolist())
         return pa.table({
-            "label": pa.array(out_l, pa.int32()),
-            "dim": pa.array(out_d, pa.int32()),
-            "s": pa.array(out_s, pa.float64()),
-            "n_part": pa.array(out_n, pa.int64()),
+            "label": pa.array(labels, pa.int64()),
+            "n": pa.array(ns, pa.int64()),
+            "centroid": pa.array(cents, pa.list_(pa.float64())),
         })
 
-    agg = parts.map_batches(explode, batch_format="pyarrow").groupby(
-        ["label", "dim"]
-    ).aggregate(RSum("s", alias_name="s"),
-                RSum("n_part", alias_name="n_part")).to_pandas()
-    # reassembly is O(labels x dim) — the final result size itself
-    rows = []
-    for label, g in agg.groupby("label"):
-        g = g.sort_values("dim")
-        n = int(g["n_part"].sum())  # only dim 0 carried the count
-        rows.append({"label": int(label), "n": n,
-                     "centroid": (g["s"].to_numpy() / n).tolist()})
-    return pd.DataFrame(rows).sort_values("label").reset_index(drop=True)
+    out = two_phase_aggregate(
+        embeddings.select_columns(["label", "embedding"]), ["label"],
+        partials, combine).to_pandas()
+    return out.sort_values("label").reset_index(drop=True)

@@ -28,7 +28,7 @@ requirement, SURVEY.md §4).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 import pandas as pd
@@ -209,13 +209,9 @@ def build_canon_map(
     surfaces: rd.Dataset,
     threshold: float = DEFAULT_THRESHOLD,
     max_rounds: int = 64,
-    driver_limit: Optional[int] = None,
 ) -> rd.Dataset:
     """``Dataset[norm] -> Dataset[norm, canon]`` clustering (auto small/large
-    path). ``driver_limit`` defaults to ``DRIVER_CLUSTER_LIMIT``, read at
-    call time."""
-    if driver_limit is None:
-        driver_limit = DRIVER_CLUSTER_LIMIT
+    path at ``DRIVER_CLUSTER_LIMIT``, read at call time)."""
 
     def per_batch_distinct(batch: pa.Table) -> pa.Table:
         norms = sorted(set(batch.column("norm").to_pylist()))
@@ -225,14 +221,15 @@ def build_canon_map(
         per_batch_distinct, batch_format="pyarrow"
     ).materialize()  # per-batch distinct only: O(vocab x blocks), reused below
 
-    if driver_limit > 0:
+    if DRIVER_CLUSTER_LIMIT > 0:
         # Small-side fast path with NO shuffle: if the per-batch distinct
         # stream is small, the global set union + clustering happen on the
         # driver with the exact oracle kernel (columnar transfer, no row
         # dicts).
-        if deduped.count() <= driver_limit * 4:
-            norms = sorted(set(deduped.to_pandas()["norm"]))
-            if len(norms) <= driver_limit:
+        if deduped.count() <= DRIVER_CLUSTER_LIMIT * 4:
+            # Ray's to_pandas of 0 rows has no columns
+            norms = sorted(set(deduped.to_pandas().get("norm", ())))
+            if len(norms) <= DRIVER_CLUSTER_LIMIT:
                 from ..functions.canon import cluster_surfaces
 
                 mapping = cluster_surfaces(norms, threshold=threshold)

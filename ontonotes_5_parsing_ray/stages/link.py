@@ -27,6 +27,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.kgrules import (
     PENDING,
@@ -71,6 +72,13 @@ def _dtype(col: str):
     if col == "is_pronoun":
         return "bool"
     return "object"
+
+
+def union_schema() -> pa.Schema:
+    """Arrow schema of the union table as :func:`link_partition` writes it
+    (its object columns hold strings)."""
+    arrow = {"int64": pa.int64(), "bool": pa.bool_(), "object": pa.string()}
+    return pa.schema([(c, arrow[_dtype(c)]) for c in UNION_COLUMNS])
 
 
 def _parse_payload(payload: str):

@@ -139,54 +139,6 @@ def decode_media(media: rd.Dataset, mode: str = "fake") -> rd.Dataset:
     )
 
 
-class ResizeImages:
-    """Actor-pool resize stage (images only; other kinds pass through).
-
-    ``mode='fake'`` deterministically simulates the resize: output metadata
-    becomes the target shape and the payload is re-sampled bytewise to the
-    target pixel budget (stride subsample / tile repeat) so downstream
-    size-dependent logic is exercised for real. ``mode='strict'`` raises —
-    the real kernel (PIL/cv2) is not in this container."""
-
-    def __init__(self, target_w: int = 64, target_h: int = 64,
-                 mode: str = "fake"):
-        if mode not in ("fake", "strict"):
-            raise ValueError(mode)
-        self.tw, self.th, self.mode = target_w, target_h, mode
-
-    def _fake_resize(self, payload: bytes) -> bytes:
-        budget = max(1, self.tw * self.th // 64)  # fake "encoded" size
-        arr = np.frombuffer(payload, dtype=np.uint8)
-        if len(arr) >= budget:
-            idx = np.linspace(0, len(arr) - 1, budget).astype(np.int64)
-            return arr[idx].tobytes()
-        reps = int(np.ceil(budget / max(len(arr), 1)))
-        return np.tile(arr, reps)[:budget].tobytes()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.mode == "strict":
-            raise NotImplementedError(
-                "image codecs are not available; use mode='fake'")
-        kinds = batch.column("kind").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        widths = batch.column("width").to_pylist()
-        heights = batch.column("height").to_pylist()
-        out_p, out_w, out_h = [], [], []
-        for kind, p, w, h in zip(kinds, payloads, widths, heights):
-            if kind == "image":
-                out_p.append(self._fake_resize(p))
-                out_w.append(self.tw)
-                out_h.append(self.th)
-            else:
-                out_p.append(p)
-                out_w.append(w)
-                out_h.append(h)
-        return (batch.drop_columns(["payload", "width", "height"])
-                .append_column("payload", pa.array(out_p, pa.binary()))
-                .append_column("width", pa.array(out_w, pa.int32()))
-                .append_column("height", pa.array(out_h, pa.int32())))
-
-
 class SampleFrames:
     """Actor-pool frame-sampling stage (video only): emits one row PER
     SAMPLED FRAME (flat-map shape — output rows > input rows), each frame a
@@ -230,19 +182,6 @@ class SampleFrames:
             "frame_ms": pa.array(out["frame_ms"], pa.int32()),
             "frame_bytes": pa.array(out["frame_bytes"], pa.binary()),
         })
-
-
-def resize_images(media: rd.Dataset, target_w: int = 64, target_h: int = 64,
-                  mode: str = "fake") -> rd.Dataset:
-    from .util import pool_size
-
-    return media.map_batches(
-        ResizeImages,
-        fn_constructor_kwargs={"target_w": target_w, "target_h": target_h,
-                               "mode": mode},
-        batch_format="pyarrow", batch_size=32, concurrency=pool_size(2),
-        num_cpus=1,
-    )
 
 
 def sample_frames(media: rd.Dataset, fps_out: float = 1.0,

@@ -12,7 +12,7 @@ key — never materialized to the driver).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
@@ -230,35 +230,81 @@ def compact_blocks(ds: rd.Dataset) -> rd.Dataset:
     return rd.from_arrow_refs(refs)
 
 
-# Partial-row count above which the final combine runs as a distributed
-# Ray groupby instead of a driver-side pandas groupby. Below it, shipping
-# vocabulary-sized partials to the driver (columnar, via to_pandas — never
-# row dicts) is faster than an all-to-all.
+# Partial-row count at or below which :func:`two_phase_aggregate` combines
+# on the driver. Below it, shipping vocabulary-sized partials to the driver
+# (columnar, via to_pandas — never row dicts) is faster than an all-to-all.
 PREAGG_DRIVER_LIMIT = 200_000
+
+
+def two_phase_aggregate(
+    ds: rd.Dataset,
+    keys: Sequence[str],
+    partial: Callable[[pd.DataFrame], pa.Table],
+    combine: Callable[[pd.DataFrame], pa.Table],
+) -> rd.Dataset:
+    """THE partial-then-combine aggregate, and the one place that picks
+    where the combine runs.
+
+    ``partial`` runs per batch (map-side pre-aggregation) and its output is
+    materialized once; ``combine`` merges partial rows into final rows and
+    must be correct over any subset of partials that holds every row of its
+    ``keys`` values. The partial-row count is the only measure: at or below
+    ``PREAGG_DRIVER_LIMIT`` rows, ONE ``combine`` call on the driver (a sort
+    shuffle for a few hundred groups is pure fixed cost); above it the same
+    ``combine`` runs per partition of :func:`partition_map_groups`,
+    exchanged on one hash of the whole ``keys`` tuple (so a first key column
+    with few values does not unbalance the partitions).
+
+    Ray Data runs no batch function on a 0-row block, so with no partials
+    the result is the kernels' own typed 0-row output: ``combine`` of
+    ``partial`` of an empty frame typed like the input (column-less when no
+    upstream step kept the input's schema)."""
+    # materialized before either route: a sort-based exchange re-executes
+    # an unmaterialized upstream while sampling partition boundaries
+    # (measured 14s vs 2.7s on a 140k-partial combine)
+    parts = ds.map_batches(partial, batch_format="pandas").materialize()
+    n = parts.count()
+    if not n:
+        schema = ds.schema()
+        if schema is None:
+            return parts
+        empty = pd.DataFrame({
+            name: pd.Series(dtype=t.to_pandas_dtype()
+                            if isinstance(t, pa.DataType) else t)
+            for name, t in zip(schema.names, schema.types)})
+        return rd.from_arrow(combine(partial(empty).to_pandas()))
+    if n <= PREAGG_DRIVER_LIMIT:
+        return rd.from_arrow(combine(parts.to_pandas()))
+    return partition_map_groups(parts, keys, combine)
+
+
+def _agg_partials(
+    batch: pd.DataFrame, keys: List[str], aggs: Dict[str, tuple]
+) -> pa.Table:
+    """Per-batch pandas partial aggregates of an agg spec (map-side
+    combine)."""
+    g = batch.groupby(keys, sort=False, dropna=False)
+    out = {}
+    for out_col, (in_col, kind) in aggs.items():
+        if kind == "sum":
+            out[out_col] = g[in_col].sum()
+        elif kind == "count":
+            out[out_col] = g[in_col].size()
+        elif kind == "min":
+            out[out_col] = g[in_col].min()
+        elif kind == "max":
+            out[out_col] = g[in_col].max()
+        else:
+            raise ValueError(kind)
+    return to_arrow(pd.DataFrame(out).reset_index())
 
 
 def _partials_ds(
     ds: rd.Dataset, keys: List[str], aggs: Dict[str, tuple]
 ) -> rd.Dataset:
-    """Per-batch pandas partial aggregates (map-side combine)."""
-
-    def partials(batch: pd.DataFrame) -> pa.Table:
-        g = batch.groupby(keys, sort=False, dropna=False)
-        out = {}
-        for out_col, (in_col, kind) in aggs.items():
-            if kind == "sum":
-                out[out_col] = g[in_col].sum()
-            elif kind == "count":
-                out[out_col] = g[in_col].size()
-            elif kind == "min":
-                out[out_col] = g[in_col].min()
-            elif kind == "max":
-                out[out_col] = g[in_col].max()
-            else:
-                raise ValueError(kind)
-        return to_arrow(pd.DataFrame(out).reset_index())
-
-    return ds.map_batches(partials, batch_format="pandas")
+    """:func:`_agg_partials` over every batch of ``ds``."""
+    return ds.map_batches(lambda b: _agg_partials(b, keys, aggs),
+                          batch_format="pandas")
 
 
 def _combine_pandas(
@@ -278,67 +324,32 @@ def _combine_pandas(
     return pd.DataFrame(final).reset_index()
 
 
-def _combine_distributed(
-    parts_ds: rd.Dataset, keys: List[str], aggs: Dict[str, tuple]
-) -> rd.Dataset:
-    """Distributed final combine (sum-of-counts == count, so count partials
-    merge with Sum)."""
-    from ray.data.aggregate import Max as RMax, Min as RMin, Sum as RSum
-
-    ray_aggs = []
-    for out_col, (_in, kind) in aggs.items():
-        if kind in ("sum", "count"):
-            ray_aggs.append(RSum(out_col, alias_name=out_col))
-        elif kind == "min":
-            ray_aggs.append(RMin(out_col, alias_name=out_col))
-        elif kind == "max":
-            ray_aggs.append(RMax(out_col, alias_name=out_col))
-    return parts_ds.groupby(keys).aggregate(*ray_aggs)
-
-
 def preagg_groupby_ds(
     ds: rd.Dataset, keys: Sequence[str], aggs: Dict[str, tuple]
 ) -> rd.Dataset:
-    """Fully distributed pre-aggregated groupby: map-side partials then a
-    ``groupby().aggregate`` combine. Result stays a Dataset — use for
-    high-cardinality keys feeding further distributed stages (top-k, joins).
-    """
+    """Pre-aggregated groupby of an agg spec, as a Dataset:
+    :func:`two_phase_aggregate` with pandas groupby partials and combine.
+
+    ``aggs`` maps output column -> (input column, kind) with kind in
+    {sum, count, min, max} (sum-of-counts == count, so count partials merge
+    with a sum); means are derived by the caller from sum+count (mergeable
+    decomposition). Correct for distributive/algebraic aggregates only —
+    exactly the ones the reference's statistics need (A1-A3)."""
     keys = list(keys)
-    # materialize the (small, pre-aggregated) partials before the shuffle:
-    # Ray's sort-based groupby re-executes an unmaterialized upstream while
-    # sampling partition boundaries (measured 14s vs 2.7s on a 140k-partial
-    # combine). Partials are vocabulary x blocks — safe to pin.
-    parts = _partials_ds(ds, keys, aggs).materialize()
-    return _combine_distributed(parts, keys, aggs)
+    return two_phase_aggregate(
+        ds, keys, lambda b: _agg_partials(b, keys, aggs),
+        lambda p: to_arrow(_combine_pandas(p, keys, aggs)))
 
 
 def preagg_groupby(
-    ds: rd.Dataset,
-    keys: Sequence[str],
-    aggs: Dict[str, tuple],
-    driver_limit: int = PREAGG_DRIVER_LIMIT,
+    ds: rd.Dataset, keys: Sequence[str], aggs: Dict[str, tuple]
 ) -> pd.DataFrame:
-    """Pre-aggregated groupby with a driver-resident result: per-batch pandas
-    combine first, then a final combine of the (keys-cardinality x batches)
-    partials — columnar on the driver for small key spaces, as a distributed
-    ``groupby().aggregate`` when the partials exceed ``driver_limit`` rows
-    (high-cardinality keys).
-
-    The partials Dataset is materialized ONCE and reused by whichever branch
-    runs (no double execution of the upstream pipeline); the driver branch
-    streams Arrow blocks via ``to_pandas`` — row dicts never cross.
-
-    ``aggs`` maps output column -> (input column, kind) with kind in
-    {sum, count, min, max}; means are derived by the caller from sum+count
-    (mergeable decomposition). Correct for distributive/algebraic aggregates
-    only — exactly the ones the reference's statistics need (A1-A3).
-    """
-    keys = list(keys)
-    parts_ds = _partials_ds(ds, keys, aggs).materialize()
-    if parts_ds.count() <= driver_limit:
-        return _combine_pandas(parts_ds.to_pandas(), keys, aggs)
-    out = _combine_distributed(parts_ds, keys, aggs).to_pandas()
-    return out.sort_values(keys).reset_index(drop=True)
+    """:func:`preagg_groupby_ds` collected to the driver, sorted by
+    ``keys``."""
+    out = preagg_groupby_ds(ds, keys, aggs).to_pandas()
+    if not len(out):
+        return out  # Ray's to_pandas of 0 rows has no columns to sort by
+    return out.sort_values(list(keys)).reset_index(drop=True)
 
 
 def topk(df: pd.DataFrame, by: List[str], ascending: List[bool], k: int) -> pd.DataFrame:
@@ -1009,7 +1020,7 @@ def asof_join(
 
 def partition_map_groups(
     ds: rd.Dataset,
-    part_key_col: str,
+    part_key: Union[str, Sequence[str]],
     kernel,
 ) -> rd.Dataset:
     """THE keyed exchange: one ``hash(key) % P`` shuffle + one vectorized
@@ -1019,26 +1030,29 @@ def partition_map_groups(
     is always :func:`exchange_partitions` of the input.
 
     This is the HIGH-cardinality groupby plan. Map-side pre-aggregation
-    (:func:`preagg_groupby_ds`) only helps when the key space is much
+    (:func:`two_phase_aggregate`) only helps when the key space is much
     smaller than a batch; when cardinality is O(rows) — per-user aggregates
     over a user-keyed stream — partials shrink nothing and the combine
     re-shuffles nearly the whole input AGAIN. This moves every row exactly
     once and aggregates at C speed inside the partition (measured 3-6x
     faster at 10M rows / 200k keys).
 
-    ``kernel(df) -> pa.Table`` sees every row of its partition (the
-    ``part`` column dropped); co-location holds for ANY key tuple whose
-    first element is ``part_key_col``, so results are
-    partition-count-independent. A pair-keyed exchange passes one column
-    holding the pair's hash (:func:`functions.hashing.hash64_pair`)."""
-    from ..functions.hashing import partition_vec
+    ``part_key`` is one column or a list of columns; a list is exchanged on
+    one hash of the whole tuple. ``kernel(df) -> pa.Table`` sees every row
+    of its partition (the ``part`` column dropped); co-location holds for
+    ANY key tuple that contains every ``part_key`` column, so results are
+    partition-count-independent. A pair-keyed exchange may instead pass one
+    column holding the pair's hash (:func:`functions.hashing.hash64_pair`)."""
+    from ..functions.hashing import hash64_pair, hash64_vec
 
+    cols = [part_key] if isinstance(part_key, str) else list(part_key)
     num_partitions = exchange_partitions(ds)
 
     def add_part(t: pa.Table) -> pa.Table:
-        part = partition_vec(
-            t.column(part_key_col).to_numpy(zero_copy_only=False),
-            num_partitions)
+        h = hash64_vec(t.column(cols[0]).to_numpy(zero_copy_only=False))
+        for c in cols[1:]:
+            h = hash64_pair(h, t.column(c).to_numpy(zero_copy_only=False))
+        part = (h % np.uint64(num_partitions)).astype(np.int32)
         return t.append_column("part", pa.array(part, pa.int32()))
 
     def run(g: pd.DataFrame) -> pa.Table:
@@ -1077,7 +1091,6 @@ def groupwise_head(
 def windowed_event_counts(
     events: rd.Dataset,
     window_seconds: int = 3600,
-    driver_limit: int = PREAGG_DRIVER_LIMIT,
 ) -> pd.DataFrame:
     """Tumbling-window aggregate per (event_type, window): count + value sum.
 
@@ -1100,7 +1113,6 @@ def windowed_event_counts(
         events.map_batches(add_window, batch_format="pandas"),
         ["event_type", "window_start"],
         {"n_events": ("value", "count"), "value_sum": ("value", "sum")},
-        driver_limit=driver_limit,
     )
     out["value_sum"] = round_half_away(out["value_sum"].to_numpy(), 6)
     return out.sort_values(["event_type", "window_start"]).reset_index(drop=True)
@@ -1110,7 +1122,6 @@ def hopping_event_counts(
     events: rd.Dataset,
     window_seconds: int = 3600,
     hop_seconds: int = 900,
-    driver_limit: int = PREAGG_DRIVER_LIMIT,
 ) -> pd.DataFrame:
     """Hopping (sliding, hop-aligned) windows per (event_type, window):
     every event lands in ``window_seconds / hop_seconds`` overlapping
@@ -1140,7 +1151,6 @@ def hopping_event_counts(
         events.map_batches(add_windows, batch_format="pandas"),
         ["event_type", "window_start"],
         {"n_events": ("value", "count"), "value_sum": ("value", "sum")},
-        driver_limit=driver_limit,
     )
     out["value_sum"] = round_half_away(out["value_sum"].to_numpy(), 6)
     return out.sort_values(["event_type", "window_start"]).reset_index(drop=True)
@@ -1566,7 +1576,6 @@ def grouped_corr(
     x_col: str,
     y_col: str,
     x_offset: float = 0.0,
-    driver_limit: int = PREAGG_DRIVER_LIMIT,
 ) -> pd.DataFrame:
     """Grouped Pearson correlation + least-squares slope of ``y`` on ``x``
     from ONE streaming pass of mergeable moment partials
@@ -1595,7 +1604,7 @@ def grouped_corr(
 
     aggs = {c: (c, "sum") for c in ("n", "sx", "sy", "sxx", "syy", "sxy")}
     m = preagg_groupby(ds.map_batches(moments, batch_format="pandas"),
-                       [key_col], aggs, driver_limit=driver_limit)
+                       [key_col], aggs)
     m = m.sort_values(key_col, kind="mergesort").reset_index(drop=True)
     n = m["n"].to_numpy(dtype=np.float64)
     cov_n2 = n * m["sxy"].to_numpy() - m["sx"].to_numpy() * m["sy"].to_numpy()

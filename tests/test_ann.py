@@ -87,14 +87,15 @@ def test_lsh_index_partitioned_equals_filter_path(ray_session, tmp_path):
     assert via_index["vec_id"].iloc[0] == 17  # self is its own nearest
 
 
-def test_label_centroids_distributed_equals_driver(ray_session):
-    """driver_limit=0 forces the exploded-dimension distributed combine; it
+def test_label_centroids_distributed_equals_driver(ray_session, monkeypatch):
+    """PREAGG_DRIVER_LIMIT=0 forces the per-partition vector-sum combine; it
     must equal the driver combine to float precision."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import relational
     from ontonotes_5_parsing_ray.stages.ann import label_centroids
 
     rng = np.random.RandomState(2)
@@ -105,7 +106,8 @@ def test_label_centroids_distributed_equals_driver(ray_session):
                               pa.list_(pa.float64())),
     }))
     drv = label_centroids(ds)
-    dist = label_centroids(ds, driver_limit=0)
+    monkeypatch.setattr(relational, "PREAGG_DRIVER_LIMIT", 0)
+    dist = label_centroids(ds)
     assert drv["label"].tolist() == dist["label"].tolist()
     assert drv["n"].tolist() == dist["n"].tolist()
     for a, b in zip(drv["centroid"], dist["centroid"]):

@@ -33,25 +33,29 @@ def test_cluster_surfaces_merges_variants():
     assert canonical_entity_id("acme corp") == canonical_entity_id("acme corp")
 
 
-def test_distributed_path_equals_driver_kernel(ray_session):
+def test_distributed_path_equals_driver_kernel(ray_session, monkeypatch):
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import canonicalize
     from ontonotes_5_parsing_ray.stages.canonicalize import build_canon_map
 
     norms = sorted({normalize_surface(s) for s in SURFACES})
     ds = rd.from_arrow(pa.table({"norm": pa.array(norms, pa.string())}))
-    # driver_limit=0 forces the band-groupby + min-label-propagation path
-    dist = {r["norm"]: r["canon"] for r in build_canon_map(ds, driver_limit=0).take_all()}
+    # DRIVER_CLUSTER_LIMIT=0 forces the band-groupby + min-label-propagation
+    # path
+    monkeypatch.setattr(canonicalize, "DRIVER_CLUSTER_LIMIT", 0)
+    dist = {r["norm"]: r["canon"] for r in build_canon_map(ds).take_all()}
     assert dist == cluster_surfaces(norms)
 
 
-def test_distributed_path_at_mid_scale(ray_session):
+def test_distributed_path_at_mid_scale(ray_session, monkeypatch):
     """2k+ surface vocabulary with planted variant clusters: the distributed
     label-propagation path must equal the driver kernel exactly."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import canonicalize
     from ontonotes_5_parsing_ray.stages.canonicalize import build_canon_map
 
     rng = np.random.RandomState(3)
@@ -68,8 +72,8 @@ def test_distributed_path_at_mid_scale(ray_session):
     norms = sorted(norms)
     assert len(norms) > 1200
     ds = rd.from_arrow(pa.table({"norm": pa.array(norms, pa.string())}))
-    dist = {r["norm"]: r["canon"] for r in
-            build_canon_map(ds, driver_limit=0).take_all()}
+    monkeypatch.setattr(canonicalize, "DRIVER_CLUSTER_LIMIT", 0)
+    dist = {r["norm"]: r["canon"] for r in build_canon_map(ds).take_all()}
     driver = cluster_surfaces(norms)
     assert dist == driver
     # the planted variants actually merged (clustering did real work)

@@ -213,13 +213,22 @@ def _contamination_overlap_join(mp):
 def _build_canon_map_distributed(mp):
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import canonicalize
     from ontonotes_5_parsing_ray.stages.canonicalize import build_canon_map
 
+    mp.setattr(canonicalize, "DRIVER_CLUSTER_LIMIT", 0)
     norms = ["acme corp", "acme corporation", "acme corp inc", "globex",
              "globex inc", "initech", "initech llc", "black mesa"]
     return build_canon_map(
-        rd.from_arrow(pa.table({"norm": pa.array(norms, pa.string())})),
-        driver_limit=0)
+        rd.from_arrow(pa.table({"norm": pa.array(norms, pa.string())})))
+
+
+def _two_phase_aggregate_distributed(mp):
+    from ontonotes_5_parsing_ray.stages import relational
+
+    mp.setattr(relational, "PREAGG_DRIVER_LIMIT", 0)
+    return relational.preagg_groupby_ds(
+        _events(), ["k", "v"], {"n": ("t", "count"), "t_max": ("t", "max")})
 
 
 def _transcript_ordering(mp):
@@ -237,7 +246,8 @@ CASES = {f.__name__.lstrip("_"): f for f in [
     _token_typo_pairs, _dup_window_stats, _candidate_pairs,
     _expand_dup_pairs, _rewrite_annotations, _triangle_counts,
     _symmetrize_int_edges, _label_propagation, _contamination_overlap_join,
-    _build_canon_map_distributed, _transcript_ordering,
+    _build_canon_map_distributed, _two_phase_aggregate_distributed,
+    _transcript_ordering,
 ]}
 
 

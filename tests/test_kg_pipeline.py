@@ -397,3 +397,48 @@ def test_errors_keep_their_schema_without_dead_letters(ray_session, tiny_table,
     assert out["errors"].count() == 0
     assert out["errors"].schema().names == ["conv_id", "turn_idx", "error"]
     assert out["triples"].count() > 100
+
+
+def test_corpus_without_entities_gives_typed_empty_tables(ray_session,
+                                                          kg_result,
+                                                          tmp_path):
+    """Turns that name no entity: both entry points finish, all five tables
+    are empty with the columns of a normal build, and a second
+    ``materialize_kg`` call writes nothing."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+    from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
+
+    src = str(tmp_path / "no_entities.parquet")
+    pq.write_table(pa.table({
+        "conv_id": ["c0", "c0"],
+        "turn_idx": pa.array([0, 1], pa.int64()),
+        "role": ["user", "assistant"],
+        "text": ["hello there .", "ok ."],
+    }), src)
+    names = ["mentions", "triples", "nodes", "edges", "errors"]
+
+    built = run_kg_pipeline(src, concurrency=2)
+    for name in names:
+        assert built[name].count() == 0, name
+        assert built[name].schema().names == list(kg_result[name].columns)
+
+    out = str(tmp_path / "kg")
+    paths = materialize_kg(src, out, num_partitions=2, concurrency=2)
+    for name in names:
+        written = rd.read_parquet(paths[name])
+        assert written.count() == 0, name
+        assert written.schema().names == list(kg_result[name].columns)
+
+    def stamps():
+        return {os.path.join(d, f): os.path.getmtime(os.path.join(d, f))
+                for d, _, files in os.walk(out) for f in files}
+
+    before = stamps()
+    assert materialize_kg(src, out, num_partitions=2, concurrency=2) == paths
+    assert stamps() == before

@@ -102,32 +102,58 @@ def test_stats_pipelines(ray_session, tiny_transcripts):
     assert {"morphology", "syntax", "entities"} == set(tf["kind"])
 
 
-def test_preagg_groupby_distributed_combine_equals_driver(ray_session):
-    """Force the distributed final combine (driver_limit=1) and compare with
-    the driver-side path on the same input."""
+@pytest.mark.parametrize("keys", [["k"], ["k1", "k2"]],
+                         ids=["single_key", "multi_key"])
+def test_preagg_groupby_routes_equal(ray_session, monkeypatch, keys):
+    """PREAGG_DRIVER_LIMIT=0 forces the distributed combine (one exchange on
+    a hash of the whole key tuple); it must equal the driver combine for
+    all four aggregate kinds."""
     import numpy as np
-    import pyarrow as pa
     import ray.data as rd
 
-    from ontonotes_5_parsing_ray.stages.relational import preagg_groupby
+    from ontonotes_5_parsing_ray.stages import relational
 
-    rng = np.random.RandomState(4)
+    rng = np.random.RandomState(8)
     n = 5000
-    tbl = pa.table({
+    columns = {
         "k": pa.array(rng.randint(0, 40, n).astype("int64")),
-        "v": pa.array(rng.rand(n)),
-    })
-    ds = rd.from_arrow(tbl)
+        "k1": pa.array([f"g{i}" for i in rng.randint(0, 40, n)], pa.string()),
+        "k2": pa.array(rng.randint(0, 5, n).astype("int64")),
+    }
+    ds = rd.from_arrow(pa.table({
+        **{k: columns[k] for k in keys},
+        "v": pa.array(rng.randn(n).round(4), pa.float64()),
+    }))
     aggs = {"n": ("v", "count"), "s": ("v", "sum"),
             "lo": ("v", "min"), "hi": ("v", "max")}
-    small = preagg_groupby(ds, ["k"], aggs).sort_values("k").reset_index(drop=True)
-    big = preagg_groupby(ds, ["k"], aggs, driver_limit=1) \
-        .sort_values("k").reset_index(drop=True)
-    assert (small["k"] == big["k"]).all()
-    assert (small["n"] == big["n"]).all()
-    assert np.allclose(small["s"], big["s"])
-    assert np.allclose(small["lo"], big["lo"])
-    assert np.allclose(small["hi"], big["hi"])
+    drv = relational.preagg_groupby(ds, keys, aggs)
+    monkeypatch.setattr(relational, "PREAGG_DRIVER_LIMIT", 0)
+    dist = relational.preagg_groupby(ds, keys, aggs)
+    assert len(drv) == (40 if keys == ["k"] else 200)
+    pd.testing.assert_frame_equal(drv, dist)
+
+
+def test_windowed_event_counts_routes_equal(ray_session, monkeypatch):
+    """The tumbling-window aggregate gives the same table on the driver and
+    the distributed combine (PREAGG_DRIVER_LIMIT=0)."""
+    import numpy as np
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages import relational
+
+    rng = np.random.RandomState(8)
+    n = 5000
+    epochs = 1_700_000_000 + rng.randint(0, 40 * 3600, size=n)
+    ev = rd.from_arrow(pa.table({
+        "ts": pa.array(epochs * 1_000_000, pa.timestamp("us")),
+        "event_type": pa.array([f"t{rng.randint(0, 3)}" for _ in range(n)],
+                               pa.string()),
+        "value": pa.array(rng.rand(n).round(4), pa.float64()),
+    }))
+    a = relational.windowed_event_counts(ev, 3600)
+    monkeypatch.setattr(relational, "PREAGG_DRIVER_LIMIT", 0)
+    b = relational.windowed_event_counts(ev, 3600)
+    pd.testing.assert_frame_equal(a, b)
 
 
 def test_rewrite_annotations_partitioned_equals_kernel(
@@ -229,26 +255,18 @@ def test_sessionize_salted_equals_plain_with_hot_user(ray_session,
     assert plain[plain["user_id"] == 1]["session_idx"].max() == 1  # 2 sessions
 
 
-def test_multimodal_resize_and_frame_sample(ray_session):
-    """Resize/frame-sample plumbing: schemas, pass-through rules, frame
-    fan-out bounds, determinism; strict mode raises (codecs absent)."""
+def test_multimodal_frame_sample(ray_session):
+    """Frame-sample plumbing: schema, pass-through rule, frame fan-out
+    bounds, determinism; strict mode raises (codecs absent)."""
     import pytest
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages.multimodal import (
-        resize_images,
         sample_frames,
         synthesize_media_table,
     )
 
     media = rd.from_arrow(synthesize_media_table(n=48))
-    resized = resize_images(media, 32, 32).to_pandas()
-    imgs = resized[resized["kind"] == "image"]
-    assert (imgs["width"] == 32).all() and (imgs["height"] == 32).all()
-    auds = resized[resized["kind"] == "audio"]
-    assert (auds["width"] == 0).all()          # non-images untouched
-    assert len(resized) == 48
-
     frames = sample_frames(media, fps_out=2.0, max_frames=4).to_pandas()
     vids = frames[frames["kind"] == "video_frame"]
     assert len(vids) > 0
@@ -263,51 +281,7 @@ def test_multimodal_resize_and_frame_sample(ray_session):
     assert (a["frame_bytes"] == b["frame_bytes"]).all()
 
     with pytest.raises(Exception):
-        resize_images(media, mode="strict").to_pandas()
-
-
-def test_preagg_distributed_branch_equals_driver(ray_session):
-    """driver_limit=0 forces the distributed groupby.aggregate combine; it
-    must equal the columnar driver combine exactly (incl. multi-key groups
-    and all four aggregate kinds)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ontonotes_5_parsing_ray.stages.relational import (
-        preagg_groupby,
-        windowed_event_counts,
-    )
-
-    rng = np.random.RandomState(8)
-    n = 5000
-    ds = rd.from_arrow(pa.table({
-        "k1": pa.array([f"g{rng.randint(0, 40)}" for _ in range(n)], pa.string()),
-        "k2": pa.array([int(rng.randint(0, 5)) for _ in range(n)], pa.int64()),
-        "v": pa.array(rng.randn(n).round(4), pa.float64()),
-    }))
-    aggs = {"n": ("v", "count"), "s": ("v", "sum"),
-            "lo": ("v", "min"), "hi": ("v", "max")}
-    drv = preagg_groupby(ds, ["k1", "k2"], aggs).reset_index(drop=True)
-    dist = preagg_groupby(ds, ["k1", "k2"], aggs, driver_limit=0) \
-        .reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        drv.sort_values(["k1", "k2"]).reset_index(drop=True)[sorted(drv.columns)],
-        dist.sort_values(["k1", "k2"]).reset_index(drop=True)[sorted(dist.columns)],
-        check_like=True)
-
-    # windowed aggregate: distributed combine == driver combine
-    epochs = 1_700_000_000 + rng.randint(0, 40 * 3600, size=n)
-    ev = rd.from_arrow(pa.table({
-        "ts": pa.array(epochs * 1_000_000, pa.timestamp("us")),
-        "event_type": pa.array([f"t{rng.randint(0, 3)}" for _ in range(n)],
-                               pa.string()),
-        "value": pa.array(rng.rand(n).round(4), pa.float64()),
-    }))
-    a = windowed_event_counts(ev, 3600).reset_index(drop=True)
-    b = windowed_event_counts(ev, 3600, driver_limit=0).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
+        sample_frames(media, mode="strict").to_pandas()
 
 
 def test_auto_join_partitions_size_aware(ray_session):
@@ -893,9 +867,10 @@ def test_bm25_matches_numpy_reference(ray_session, tmp_path):
                 zip(got["score"], got["doc_id"])] == want, limit
 
 
-def test_pagerank_routes_match_numpy(ray_session):
+def test_pagerank_routes_match_numpy(ray_session, monkeypatch):
     """pagerank == a numpy power iteration, on both the broadcast-state
-    route and the forced node-hash join route (identical to 1e-12)."""
+    route and the forced node-hash join route (identical to 1e-12), and
+    with its ``preagg_groupby_ds`` combines forced distributed."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -930,6 +905,11 @@ def test_pagerank_routes_match_numpy(ray_session):
     assert np.abs(bc - r.sort_index()).max() < 1e-12
     assert np.abs(jn - r.sort_index()).max() < 1e-12
     assert abs(bc.sum() - 1.0) < 1e-9   # rank mass conserved
+    from ontonotes_5_parsing_ray.stages import relational
+
+    monkeypatch.setattr(relational, "PREAGG_DRIVER_LIMIT", 0)
+    dist = pagerank(edges).set_index("node")["rank"].sort_index()
+    assert np.abs(dist - r.sort_index()).max() < 1e-12
 
 
 def test_pagerank_join_route_directed_int_keys(ray_session):

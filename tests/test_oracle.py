@@ -31,6 +31,18 @@ def test_dead_letter_not_exception():
     assert record is None and err != ""
 
 
+def test_special_token_blanked_only_as_a_whole_token():
+    """A special token is blanked where it stands as a token; the same
+    letters inside a longer word stay."""
+    record, err = annotate_turn_text(
+        "Alice met UNEDITED Bob EDITED in Paris .")
+    assert err == ""
+    assert record["text"] == "Alice met UNEDITED Bob in Paris ."
+    assert record["entities"]["GPE"] == [(26, 31)]  # "Paris"
+    record, err = annotate_turn_text("Bob EDITED EDITED met Alice .")
+    assert record["text"] == "Bob met Alice ."
+
+
 def test_triple_extraction_svo_rule():
     record, _ = annotate_turn_text("Grace Hopper joined Initech .")
     mentions, verbs = turn_link_payload(record)
