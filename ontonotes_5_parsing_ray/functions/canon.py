@@ -3,21 +3,35 @@
 Generalizes the reference's tag canonicalizer (cluster seeds + nearest-form
 assignment + shortest-then-lexicographic renaming, ``reduce_entities.py:88-117``)
 to entity surface forms at scale: LSH blocking over MinHash signatures of char
-3-shingles, exact-Jaccard pair verification inside blocks, connected
+3-shingles, exact-Jaccard verification of the candidate pairs, connected
 components, and a deterministic canonical representative per component
 (min by (len, lex) — the same rule as ``reduce_entities.py:110-115``).
 
-The functions here define the *semantics*; ``stages/canonicalize.py`` runs the
-same steps distributed (map_batches signatures -> groupby(band) candidate
-pairs -> min-label-propagation components), and must produce identical
-cluster assignments because components and the min-rep rule are order-free.
+Clusters are defined over CAPPED candidate pairs: pairs come from the
+shared LSH pair engine (:func:`hashing.bucket_pair_arrays`), over ids that
+rank the distinct norms by (len, norm), with each band bucket capped at
+its ``max_bucket`` smallest ids — ``hashing.LSH_MAX_BUCKET``, tightened by
+``hashing.LSH_PAIR_BUDGET`` from the band-size histogram (logged when it
+binds). Below the cap every pair sharing a band is a candidate; above it,
+a hot bucket (e.g. ten thousand ID-like ``"acme corp 01234"`` surfaces in
+one band) costs bounded work, and only pairs that share nothing but a
+capped bucket can be missed.
+
+The functions here define the *semantics*; ``stages/canonicalize.py`` runs
+the same steps distributed (``relational.global_row_number`` ranks ->
+band rows -> ``dedup._candidate_pairs`` with the same cap from the same
+histogram -> ``dedup.near_dup_clusters`` star-contraction components), and
+produces identical cluster assignments, also when a cap binds.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+import pandas as pd
+
+from . import hashing
 from .hashing import MinHasher, char_shingles, jaccard
 
 DEFAULT_NUM_PERM = 64
@@ -34,19 +48,6 @@ def surface_band_keys(
 
 def verify_pair(a: str, b: str, threshold: float = DEFAULT_THRESHOLD) -> bool:
     return jaccard(char_shingles(a, SHINGLE_K), char_shingles(b, SHINGLE_K)) >= threshold
-
-
-def candidate_pairs_from_blocks(
-    blocks: Iterable[Sequence[str]],
-) -> Set[Tuple[str, str]]:
-    """All within-block pairs, ordered (min, max) — dedup across blocks."""
-    pairs: Set[Tuple[str, str]] = set()
-    for members in blocks:
-        uniq = sorted(set(members))
-        for i in range(len(uniq)):
-            for j in range(i + 1, len(uniq)):
-                pairs.add((uniq[i], uniq[j]))
-    return pairs
 
 
 def connected_components(
@@ -92,16 +93,25 @@ def cluster_surfaces(
 ) -> Dict[str, str]:
     """Single-process reference clustering: norm -> canonical norm.
 
-    The golden semantics for the distributed canonicalization stage.
-    """
+    The golden semantics for the distributed canonicalization stage: the
+    distinct norms, ranked by (len, norm), are the ids; band rows
+    ``(band_key, id)`` go through the shared capped pair engine (cap from
+    the band-size histogram), and each distinct candidate pair is verified
+    once before connected components."""
     hasher = MinHasher(num_perm)
-    blocks: Dict[str, List[str]] = {}
-    uniq = sorted(set(norms))
-    for norm in uniq:
-        for key in surface_band_keys(norm, hasher, bands):
-            blocks.setdefault(key, []).append(norm)
-    pairs = candidate_pairs_from_blocks(blocks.values())
-    verified = [(a, b) for a, b in sorted(pairs) if verify_pair(a, b, threshold)]
+    uniq = sorted(set(norms), key=lambda n: (len(n), n))
+    keys = [surface_band_keys(norm, hasher, bands) for norm in uniq]
+    rows = pd.DataFrame({  # band keys as int codes: an int sort is cheaper
+        "band_key": pd.Series([k for ks in keys for k in ks]).factorize()[0],
+        "id": [i for i, ks in enumerate(keys) for _ in ks],
+    })
+    cap, _ = hashing.effective_bucket_cap(
+        rows["band_key"].value_counts().to_numpy(), 0, hashing.LSH_MAX_BUCKET)
+    a, b, _ = hashing.bucket_pair_arrays(rows, "band_key", "id", None, cap)
+    if len(a):
+        a, b = hashing.pair_unique(a, b)
+    verified = [(uniq[i], uniq[j]) for i, j in zip(a.tolist(), b.tolist())
+                if verify_pair(uniq[i], uniq[j], threshold)]
     return connected_components(uniq, verified)
 
 

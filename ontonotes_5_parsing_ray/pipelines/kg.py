@@ -7,7 +7,7 @@ Ray-Data-first composition (SURVEY.md §3.4):
       -> groupby(salted (conv, turn bucket) % P)  [stable turn order + coref;
          .map_groups                               bucket 0 finalized in place]
       -> phases B/C, only for conversations past one bucket
-      -> canonicalization (MinHash/LSH + min-label components)
+      -> canonicalization (MinHash/LSH capped pairs + components)
       -> build_graph: attach canonical surfaces   [broadcast dict or join]
       -> pre-aggregated combines -> nodes / edges
       -> write_parquet partitioned + lineage markers

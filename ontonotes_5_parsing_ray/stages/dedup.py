@@ -23,15 +23,16 @@ never runs over raw bucket members. Exact-duplicate texts are collapsed to
 one representative per bucket FIRST (identical texts share every band key,
 so the collapse is globally consistent and provably output-preserving —
 see :func:`_expand_dup_pairs`), and residual buckets of near-identical but
-distinct texts are capped at ``max_bucket`` representatives with a logged
-drop count. A crawl with 10^6 byte-identical boilerplate pages therefore
-costs one representative, not 5*10^11 candidate pairs.
+distinct texts are capped at ``max_bucket`` representatives (tightened by
+the total pair budget) with a logged drop count — the capped pair engine of
+``functions/hashing.py``, which entity canonicalization shares. A crawl
+with 10^6 byte-identical boilerplate pages therefore costs one
+representative, not 5*10^11 candidate pairs.
 """
 
 from __future__ import annotations
 
-import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -43,16 +44,17 @@ from functools import lru_cache
 
 from ..functions.rounding import round_half_away
 from ..functions.hashing import (
+    LSH_MAX_BUCKET,
     MinHasher,
-    hamming64,
+    bucket_pair_arrays,
+    effective_bucket_cap,
     hash64_pair,
     hash64_vec,
     jaccard,
+    pair_unique,
     simhash64,
     word_shingles,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @lru_cache(maxsize=65536)
@@ -87,156 +89,21 @@ def _text_hash_cols(texts: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
 # Candidate-pair generation: per-bucket pair enumeration. ray.data's
 # map_groups invokes the UDF once per group; with LSH buckets averaging ~2
 # members that is tens of thousands of pandas constructions (~25s for 76k
-# buckets at sf0.1). Below ``driver_limit`` band rows we therefore stream
+# buckets at sf0.1). At or below this many band rows we therefore stream
 # the (bucket, id) columns to the driver and enumerate there (milliseconds);
 # above it, the distributed groupby path runs — same output, tested equal.
 CANDIDATE_DRIVER_LIMIT = 2_000_000
 
-# Per-bucket representative cap: a residual bucket (distinct texts sharing
-# one band) larger than this enumerates pairs only among its max_bucket
-# smallest representative ids, logging the drop. All-pairs on 4096 reps is
-# ~8.4M candidate rows (~130 MB per task) — the bounded-work ceiling.
-# Sub-splitting a text-LSH bucket by another band key would be a no-op:
-# any pair agreeing on a second band is already a candidate via that
-# band's own bucket, so the only pairs a cap can lose are those agreeing
-# on NOTHING but the hot band — exactly the low-signal tail.
-LSH_MAX_BUCKET = 4096
-
-# Total candidate-pair budget across ALL buckets: max_bucket bounds one
-# bucket, but a corpus whose signatures correlate (Zipf-headed real text)
-# has MANY near-cap buckets — measured 52M capped candidates at 200k docs
-# even with max_bucket=512. The effective cap therefore derives from the
-# bucket-size histogram so the estimated capped-pair total stays under
-# this budget (deterministic ladder, logged when it tightens).
-LSH_PAIR_BUDGET = 20_000_000
 # Enumerate pairs on the driver only while the estimated pair volume is
-# modest; above it the bounded 64-partition distributed enumeration runs
-# regardless of how few band ROWS there are.
+# modest; above it the bounded distributed enumeration runs regardless of
+# how few band ROWS there are.
 PAIR_DRIVER_LIMIT = 8_000_000
-_CAP_LADDER = (4096, 2048, 1024, 512, 256, 128, 64, 32)
-
-
-def _pair_unique(a: np.ndarray, b: np.ndarray):
-    """Distinct (a, b) pairs via lexsort + adjacency — pandas
-    drop_duplicates / np.unique(axis=0) are ~20x slower at tens of
-    millions of rows (measured 300s vs ~15s on 52M pairs)."""
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    keep = np.empty(len(a), dtype=bool)
-    keep[0] = True
-    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=keep[1:])
-    return a[keep], b[keep]
-
-
-def _effective_bucket_cap(
-    big_sizes: np.ndarray,
-    small_pairs: int,
-    max_bucket: int,
-    pair_budget: int,
-):
-    """Largest ladder cap whose estimated capped-pair total fits the
-    budget. ``big_sizes`` = bucket sizes above the small-bucket floor;
-    ``small_pairs`` = the EXACT pair total of the sub-floor buckets
-    (computed distributedly from the same histogram — caps can't shrink
-    those, so they're a constant term)."""
-    for cap in _CAP_LADDER:
-        if cap > max_bucket:
-            continue
-        capped = np.minimum(big_sizes, cap).astype(np.int64)
-        est = int((capped * (capped - 1) // 2).sum()) + small_pairs
-        if est <= pair_budget:
-            return cap, est
-    return _CAP_LADDER[-1], int(small_pairs)
-
-
-def _bucket_pair_arrays(
-    df: pd.DataFrame,
-    bucket_col: str,
-    id_col: str,
-    collapse_cols: Optional[List[str]],
-    max_bucket: Optional[int],
-    filter_cols: Optional[List[str]] = None,
-    pair_filter=None,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized per-bucket pair enumeration over a (bucket, id[, collapse])
-    frame: collapse exact-dup groups to their min id, cap residual buckets,
-    emit triu pairs. Shared by the driver and distributed branches.
-
-    ``filter_cols`` + ``pair_filter``: per-row attribute columns (e.g. set
-    size and prefix position for PPJoin-style pruning) and a vectorized
-    ``pair_filter(attrs_a, attrs_b) -> bool mask`` applied to each bucket's
-    enumerated pairs BEFORE they are emitted — pruning happens in-kernel,
-    so filtered pairs never hit the dedupe shuffle. Exact-dup collapse
-    takes the group min of each attribute (collapse groups share identical
-    text, hence identical attributes)."""
-    filter_cols = filter_cols or []
-    if collapse_cols:
-        aggs = {id_col: "min", **{c: "min" for c in filter_cols}}
-        df = df.groupby([bucket_col] + collapse_cols, as_index=False,
-                        sort=False).agg(aggs)
-    # one vectorized pass instead of a Python loop per bucket (76k tiny
-    # buckets cost ~5 s iterating pandas groups; this is ~0.2 s): sort by
-    # (bucket, id), then every SIZE CLASS s reshapes its buckets into an
-    # (n_buckets, s) matrix and emits all triu pairs with one gather.
-    df = (df.drop_duplicates([bucket_col, id_col])
-          .sort_values([bucket_col, id_col], kind="mergesort"))
-    sizes = df.groupby(bucket_col, sort=False)[id_col] \
-        .transform("size").to_numpy()
-    ids_all = df[id_col].to_numpy()
-    attrs_all = {c: df[c].to_numpy() for c in filter_cols}
-    a_chunks: List[np.ndarray] = []
-    b_chunks: List[np.ndarray] = []
-    dropped = 0
-
-    def emit(A: np.ndarray, B: np.ndarray, attr_pairs) -> None:
-        if pair_filter is not None and filter_cols:
-            keep = np.asarray(pair_filter(*attr_pairs))
-            A, B = A[keep], B[keep]
-        if len(A):
-            a_chunks.append(A.astype(np.int64))
-            b_chunks.append(B.astype(np.int64))
-
-    for s in np.unique(sizes):
-        s = int(s)
-        if s < 2 or (max_bucket is not None and s > max_bucket):
-            continue
-        mask = sizes == s
-        ids2 = ids_all[mask].reshape(-1, s)
-        iu, ju = np.triu_indices(s, 1)
-        at = {c: attrs_all[c][mask].reshape(-1, s) for c in filter_cols}
-        emit(ids2[:, iu].ravel(), ids2[:, ju].ravel(),
-             ({c: v[:, iu].ravel() for c, v in at.items()},
-              {c: v[:, ju].ravel() for c, v in at.items()}))
-
-    if max_bucket is not None and (sizes > max_bucket).any():
-        # over-cap buckets: rare by construction — per-bucket loop with
-        # truncation to the first max_bucket (sorted) ids, drop logged
-        for _bucket, g in df[sizes > max_bucket].groupby(bucket_col,
-                                                         sort=False):
-            ids = g[id_col].to_numpy()
-            dropped += len(ids) - max_bucket
-            ids = ids[:max_bucket]
-            iu, ju = np.triu_indices(len(ids), 1)
-            at = {c: g[c].to_numpy()[:max_bucket] for c in filter_cols}
-            emit(ids[iu], ids[ju],
-                 ({c: v[iu] for c, v in at.items()},
-                  {c: v[ju] for c, v in at.items()}))
-    if dropped:
-        logger.warning(
-            "LSH hot-bucket cap dropped %d representatives beyond "
-            "max_bucket=%d (recall loss limited to pairs sharing ONLY "
-            "capped buckets)", dropped, max_bucket)
-    if not a_chunks:
-        e = np.array([], dtype=np.int64)
-        return e, e, dropped
-    return np.concatenate(a_chunks), np.concatenate(b_chunks), dropped
 
 
 def _candidate_pairs(
     bucket_rows: rd.Dataset,
     bucket_col: str,
     id_col: str,
-    driver_limit: int = CANDIDATE_DRIVER_LIMIT,
     collapse_cols: Optional[List[str]] = None,
     max_bucket: Optional[int] = LSH_MAX_BUCKET,
     filter_cols: Optional[List[str]] = None,
@@ -250,7 +117,10 @@ def _candidate_pairs(
     representative is the group's global min id in every bucket — callers
     restore member pairs exactly via :func:`_expand_dup_pairs`.
     ``max_bucket`` caps residual (post-collapse) hot buckets with a logged
-    drop count — the bounded-work guard against degenerate bands.
+    drop count — the bounded-work guard against degenerate bands — and
+    the pair budget may tighten it (:func:`hashing.effective_bucket_cap`).
+    ``filter_cols`` / ``pair_filter`` prune pairs inside the enumeration
+    (:func:`hashing.bucket_pair_arrays`).
 
     The input is materialized once (it is ids+bucket keys only — never doc
     payloads) and reused by whichever branch runs; the driver branch moves
@@ -266,13 +136,12 @@ def _candidate_pairs(
     # value_counts — the distributed version below is three extra Dataset
     # jobs whose fixed overhead (~5 s) dwarfed tiny inputs (80k band rows
     # producing 241 candidates spent 5.8 s mostly here).
-    if n_rows <= driver_limit:
-        vc = pd.Series(
+    driver = n_rows <= CANDIDATE_DRIVER_LIMIT
+    if driver:
+        sizes = pd.Series(
             bucket_rows.select_columns([bucket_col]).to_pandas()
             [bucket_col].to_numpy()).value_counts().to_numpy(np.int64)
-        big_sizes = vc[vc > 64]
-        small = vc[vc <= 64]
-        small_pairs = int((small * (small - 1) // 2).sum())
+        small_pairs = 0
     else:
         def _size_partials(t: pa.Table) -> pa.Table:
             col = t.column(bucket_col)
@@ -287,16 +156,16 @@ def _candidate_pairs(
 
         from .relational import preagg_groupby_ds
 
-        sizes = preagg_groupby_ds(
+        counts = preagg_groupby_ds(
             bucket_rows.map_batches(_size_partials, batch_format="pyarrow"),
             ["bucket"], {"c": ("c", "sum")})
-        sizes = sizes.materialize()  # reused: big-bucket fetch + small sum
-        big = sizes.map_batches(
+        counts = counts.materialize()  # reused: big-bucket fetch + small sum
+        big = counts.map_batches(
             lambda t: t.filter(pc.greater(t.column("c"), pa.scalar(64)))
             .select(["c"]),
             batch_format="pyarrow").to_pandas()
-        big_sizes = (big["c"].to_numpy(np.int64) if "c" in big.columns
-                     else np.array([], dtype=np.int64))  # empty ds drops schema
+        sizes = (big["c"].to_numpy(np.int64) if "c" in big.columns
+                 else np.array([], dtype=np.int64))  # empty ds drops schema
 
         def _small_pair_partials(t: pa.Table) -> pa.Table:
             c = t.column("c").to_numpy(zero_copy_only=False)
@@ -305,27 +174,19 @@ def _candidate_pairs(
                                            pa.int64())})
 
         small_pairs = sum(
-            int(v) for blk in sizes.map_batches(
+            int(v) for blk in counts.map_batches(
                 _small_pair_partials, batch_format="pyarrow"
             ).iter_batches(batch_format="pandas") for v in blk["p"])
-    eff_cap, est_pairs = _effective_bucket_cap(
-        big_sizes, small_pairs,
-        max_bucket if max_bucket is not None else _CAP_LADDER[0],
-        LSH_PAIR_BUDGET)
-    if max_bucket is not None and eff_cap < max_bucket:
-        logger.warning(
-            "LSH pair budget tightened max_bucket %d -> %d "
-            "(estimated capped pairs %.1fM, budget %.1fM)",
-            max_bucket, eff_cap, est_pairs / 1e6, LSH_PAIR_BUDGET / 1e6)
-        max_bucket = eff_cap
+    max_bucket, est_pairs = effective_bucket_cap(sizes, small_pairs,
+                                                 max_bucket)
 
-    if n_rows <= driver_limit and est_pairs <= PAIR_DRIVER_LIMIT:
+    if driver and est_pairs <= PAIR_DRIVER_LIMIT:
         df = bucket_rows.to_pandas()
-        a, b, _ = _bucket_pair_arrays(
+        a, b, _ = bucket_pair_arrays(
             df, bucket_col, id_col, collapse_cols, max_bucket,
             filter_cols=filter_cols, pair_filter=pair_filter)
         if len(a):
-            a, b = _pair_unique(a, b)
+            a, b = pair_unique(a, b)
         return rd.from_arrow(pa.table({
             "doc_a": pa.array(a, pa.int64()),
             "doc_b": pa.array(b, pa.int64()),
@@ -338,20 +199,20 @@ def _candidate_pairs(
     # pandas frame per partition, never one UDF call per bucket)
 
     def candidates_partition(group: pd.DataFrame) -> pa.Table:
-        a, b, _ = _bucket_pair_arrays(
+        a, b, _ = bucket_pair_arrays(
             group, bucket_col, id_col, collapse_cols, max_bucket,
             filter_cols=filter_cols, pair_filter=pair_filter)
         if len(a):
             # local dedupe first: duplicate hits from buckets in the SAME
             # partition never reach the cross-partition exchange
-            a, b = _pair_unique(a, b)
+            a, b = pair_unique(a, b)
         return pa.table({"doc_a": pa.array(a, pa.int64()),
                          "doc_b": pa.array(b, pa.int64()),
                          "pair": pa.array(hash64_pair(a, b), pa.uint64())})
 
     def dedup_partition(group: pd.DataFrame) -> pa.Table:
-        a, b = _pair_unique(group["doc_a"].to_numpy(),
-                            group["doc_b"].to_numpy())
+        a, b = pair_unique(group["doc_a"].to_numpy(),
+                           group["doc_b"].to_numpy())
         return pa.table({"doc_a": pa.array(a, pa.int64()),
                          "doc_b": pa.array(b, pa.int64())})
 
@@ -404,15 +265,16 @@ def _ids_set(cand_ids: rd.Dataset) -> set:
     return set(df["doc_id"].tolist()) if "doc_id" in df.columns else set()
 
 
-def _route_candidates(pairs: rd.Dataset, limit: int):
+def _route_candidates(pairs: rd.Dataset):
     """Pick the verify route from the (materialized) candidate pairs.
 
     Returns ``("broadcast", id_set)`` or ``("join", cand_ids_dataset)``.
-    When the pair count alone bounds the candidate set under ``limit``, the
-    ids are derived driver-side from the pairs columns directly — no
-    distributed distinct round-trip for the common small case. Only a large
-    pair set pays for the distributed distinct, and only a large CANDIDATE
-    set takes the join route."""
+    When the pair count alone bounds the candidate set under
+    ``PAYLOAD_BROADCAST_LIMIT``, the ids are derived driver-side from the
+    pairs columns directly — no distributed distinct round-trip for the
+    common small case. Only a large pair set pays for the distributed
+    distinct, and only a large CANDIDATE set takes the join route."""
+    limit = PAYLOAD_BROADCAST_LIMIT
     n_pairs = pairs.count()
     if 2 * n_pairs <= limit:
         df = pairs.to_pandas()
@@ -430,22 +292,23 @@ def _route_candidates(pairs: rd.Dataset, limit: int):
 
 
 def _broadcast_candidate_payload(
-    docs: rd.Dataset, cand_ids: set, payload_fn, columns
-) -> pd.DataFrame:
+    ds: rd.Dataset, cand_ids: set, cols: List[str]
+) -> Dict[str, dict]:
     """Small-candidate-set fast path: broadcast the id set as a filter over
-    the docs stream, run ``payload_fn`` DISTRIBUTED over the survivors, and
-    ship only its per-candidate output to the driver."""
+    ``ds`` (keyed by ``doc_id``) and ship only the candidates' ``cols`` to
+    the driver, as ``{col: {doc_id: value}}``."""
     import ray
 
     ids_ref = ray.put(cand_ids)
 
-    def fil(batch: pd.DataFrame) -> pa.Table:
-        keep = batch[batch["doc_id"].isin(ray.get(ids_ref))]
-        return payload_fn(keep)
+    def fil(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch[batch["doc_id"].isin(ray.get(ids_ref))]
 
-    return docs.select_columns(columns).map_batches(
-        fil, batch_format="pandas"
-    ).to_pandas()
+    df = ds.select_columns(["doc_id"] + cols).map_batches(
+        fil, batch_format="pandas").to_pandas()
+    # zero candidates: to_pandas loses the schema of an empty Dataset
+    return {c: dict(zip(df["doc_id"], df[c])) if c in df.columns else {}
+            for c in cols}
 
 
 def _attach_pair_payload(
@@ -479,6 +342,49 @@ def _attach_pair_payload(
     )
     joined = compact_blocks(hash_join(pairs, side_a, on=["doc_a"]))
     return hash_join(joined, side_b, on=["doc_b"])
+
+
+def _verify_pairs(
+    pairs: rd.Dataset,
+    sources: List[Tuple[rd.Dataset, List[str]]],
+    verify_frame,
+) -> rd.Dataset:
+    """Run a family's ONE verify kernel over its candidate pairs.
+
+    ``verify_frame(batch) -> pa.Table`` reads ``{col}_a`` / ``{col}_b`` for
+    every payload column named in ``sources`` (``(Dataset keyed by doc_id,
+    columns)``). The payload (signatures, texts) of CANDIDATE docs only —
+    never the corpus — is attached by route (:func:`_route_candidates`): a
+    small set is broadcast and attached per batch from driver dicts; a
+    large one is attached with hash-partitioned joins
+    (:func:`_attach_pair_payload`) and never touches the driver. The kernel
+    is the same on both routes, so they give identical pair sets."""
+    import ray
+
+    cols = [c for _, cs in sources for c in cs]
+    route, cand = _route_candidates(pairs)
+    if route == "join":
+        from .relational import compact_blocks, hash_join
+
+        payload = cand
+        for ds, cs in sources:
+            payload = compact_blocks(hash_join(
+                ds.select_columns(["doc_id"] + cs), payload, on=["doc_id"]))
+        return _attach_pair_payload(pairs, payload, cols).map_batches(
+            verify_frame, batch_format="pandas")
+
+    values = {}
+    for ds, cs in sources:
+        values.update(_broadcast_candidate_payload(ds, cand, cs))
+    values_ref = ray.put(values)
+
+    def verify_broadcast(batch: pd.DataFrame) -> pa.Table:
+        v = ray.get(values_ref)
+        return verify_frame(batch.assign(**{
+            f"{c}_{side}": [v[c][d] for d in batch[f"doc_{side}"]]
+            for c in cols for side in "ab"}))
+
+    return pairs.map_batches(verify_broadcast, batch_format="pandas")
 
 
 def _dup_members(sig_ds: rd.Dataset) -> Optional[rd.Dataset]:
@@ -737,7 +643,6 @@ def minhash_near_dup_pairs(
     num_perm: int = 64,
     bands: int = 16,
     shingle_k: int = 3,
-    payload_broadcast_limit: int = PAYLOAD_BROADCAST_LIMIT,
     max_bucket: Optional[int] = LSH_MAX_BUCKET,
     expand_dups: bool = True,
 ) -> rd.Dataset:
@@ -761,17 +666,15 @@ def minhash_near_dup_pairs(
          (:func:`_expand_dup_pairs` — provably the un-collapsed output).
 
     Verify payloads (stored signature + text per CANDIDATE doc, never the
-    corpus) auto-route by candidate count: a small set broadcasts to the
-    verify map; a large one is attached to the pairs with hash-partitioned
-    joins (pairs ⋈ payload on doc_a then doc_b) and verified inside join
-    partitions — the driver never materializes candidate texts (both routes
-    produce identical pair sets, tested equal). ``expand_dups=False`` skips
-    step 6 and returns representative-level pairs only (dup-group members
-    beyond the rep are then absent from the output — use only when a
-    downstream collapse handles exact dups itself).
+    corpus) auto-route by candidate count (:func:`_verify_pairs`): a small
+    set broadcasts to the verify map; a large one is attached to the pairs
+    with hash-partitioned joins (pairs ⋈ payload on doc_a then doc_b) — the
+    driver never materializes candidate texts. One verify kernel serves
+    both routes, so they produce identical pair sets. ``expand_dups=False``
+    skips step 6 and returns representative-level pairs only (dup-group
+    members beyond the rep are then absent from the output — use only when
+    a downstream collapse handles exact dups itself).
     """
-    import ray
-
     # md5_32 shingle base: the whole signature pipeline (shingle hash,
     # permutations, banding) is reproducible in DuckDB, which is what lets
     # the driver value-hash this operator (entity canonicalization keeps
@@ -826,93 +729,21 @@ def minhash_near_dup_pairs(
 
     screen = max(0.0, threshold - 0.25)  # est-similarity slack before exact
 
-    route, cand = _route_candidates(pairs, payload_broadcast_limit)
-    if route == "join":
-        from .relational import hash_join
-
-        # candidate payload = stored sig (join) + text (join-pruned corpus)
-        cand_texts = hash_join(
-            docs.select_columns(["doc_id", "text"]), cand, on=["doc_id"])
-        payload = hash_join(
-            cand_texts, sig_ds.select_columns(["doc_id", "sig"]),
-            on=["doc_id"],
-        ).materialize()  # O(candidates); reused by both pair joins
-        joined = _attach_pair_payload(pairs, payload, ["text", "sig"])
-
-        def verify_joined(batch: pd.DataFrame) -> pa.Table:
-            a_out, b_out, j_out = [], [], []
-            if len(batch):
-                sa = np.stack([np.frombuffer(s, np.uint64)
-                               for s in batch["sig_a"]])
-                sb = np.stack([np.frombuffer(s, np.uint64)
-                               for s in batch["sig_b"]])
-                est = (sa == sb).mean(axis=1)
-                for a, b, ta, tb, e in zip(batch["doc_a"], batch["doc_b"],
-                                           batch["text_a"], batch["text_b"],
-                                           est):
-                    if e < screen:
-                        continue
-                    jac = jaccard(_word_shingles_cached(ta, shingle_k),
-                                  _word_shingles_cached(tb, shingle_k))
-                    if jac >= threshold:
-                        a_out.append(a)
-                        b_out.append(b)
-                        j_out.append(float(round_half_away(jac, 6)))
-            return pa.table({
-                "doc_a": pa.array(np.asarray(a_out, np.int64), pa.int64()),
-                "doc_b": pa.array(np.asarray(b_out, np.int64), pa.int64()),
-                "jaccard": pa.array(np.asarray(j_out, np.float64),
-                                    pa.float64()),
-            })
-
-        verified = joined.map_batches(verify_joined, batch_format="pandas")
-        return _expand_dup_pairs(verified, members, "jaccard", 1.0)
-
-    texts_df = _broadcast_candidate_payload(
-        docs, cand,
-        lambda keep: pa.table({
-            "doc_id": pa.array(keep["doc_id"].tolist(), pa.int64()),
-            "text": pa.array(keep["text"].tolist(), pa.string()),
-        }),
-        ["doc_id", "text"],
-    )
-    sigs_df = _broadcast_candidate_payload(
-        sig_ds, cand,
-        lambda keep: pa.table({
-            "doc_id": pa.array(keep["doc_id"].tolist(), pa.int64()),
-            "sig": pa.array(keep["sig"].tolist(), pa.binary()),
-        }),
-        ["doc_id", "sig"],
-    )
-    if len(texts_df) and "doc_id" in texts_df.columns:
-        pdf = texts_df.merge(sigs_df, on="doc_id")
-    else:  # zero candidates: to_pandas loses the schema of an empty Dataset
-        pdf = pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                            "text": pd.Series(dtype=object),
-                            "sig": pd.Series(dtype=object)})
-    sig_matrix = (np.stack([np.frombuffer(b, np.uint64) for b in pdf["sig"]])
-                  if len(pdf) else np.empty((0, num_perm), dtype=np.uint64))
-    payload_ref = ray.put({
-        "texts": dict(zip(pdf["doc_id"], pdf["text"])),
-        "sig_index": dict(zip(pdf["doc_id"], range(len(pdf)))),
-        "sigs": sig_matrix,
-    })
-
-    def verify(batch: pd.DataFrame) -> pa.Table:
-        payload = ray.get(payload_ref)
-        texts, sig_index, sigs = (
-            payload["texts"], payload["sig_index"], payload["sigs"],
-        )
+    def verify_frame(batch: pd.DataFrame) -> pa.Table:
         a_out, b_out, j_out = [], [], []
         if len(batch):
-            ia = np.array([sig_index[d] for d in batch["doc_a"]])
-            ib = np.array([sig_index[d] for d in batch["doc_b"]])
-            est = (sigs[ia] == sigs[ib]).mean(axis=1)
-            for (a, b), e in zip(zip(batch["doc_a"], batch["doc_b"]), est):
+            sa = np.stack([np.frombuffer(s, np.uint64)
+                           for s in batch["sig_a"]])
+            sb = np.stack([np.frombuffer(s, np.uint64)
+                           for s in batch["sig_b"]])
+            est = (sa == sb).mean(axis=1)
+            for a, b, ta, tb, e in zip(batch["doc_a"], batch["doc_b"],
+                                       batch["text_a"], batch["text_b"],
+                                       est):
                 if e < screen:
                     continue
-                jac = jaccard(_word_shingles_cached(texts[a], shingle_k),
-                              _word_shingles_cached(texts[b], shingle_k))
+                jac = jaccard(_word_shingles_cached(ta, shingle_k),
+                              _word_shingles_cached(tb, shingle_k))
                 if jac >= threshold:
                     a_out.append(a)
                     b_out.append(b)
@@ -923,7 +754,8 @@ def minhash_near_dup_pairs(
             "jaccard": pa.array(np.asarray(j_out, np.float64), pa.float64()),
         })
 
-    verified = pairs.map_batches(verify, batch_format="pandas")
+    verified = _verify_pairs(
+        pairs, [(docs, ["text"]), (sig_ds, ["sig"])], verify_frame)
     return _expand_dup_pairs(verified, members, "jaccard", 1.0)
 
 
@@ -941,7 +773,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 def simhash_near_dup_pairs(
     docs: rd.Dataset,
     max_hamming: int = 8,
-    payload_broadcast_limit: int = PAYLOAD_BROADCAST_LIMIT,
     max_bucket: Optional[int] = LSH_MAX_BUCKET,
     expand_dups: bool = True,
 ) -> rd.Dataset:
@@ -955,11 +786,9 @@ def simhash_near_dup_pairs(
     collapse to one representative before pair enumeration and expand back
     after verify (hamming 0 — see :func:`_expand_dup_pairs`); residual hot
     buckets cap at ``max_bucket``. Verify needs signatures only (no text):
-    they auto-route — broadcast below ``payload_broadcast_limit``
-    candidates, hash-partitioned pairs ⋈ signature joins above it
-    (identical pair sets, tested equal)."""
-
-    import ray
+    they auto-route — broadcast below ``PAYLOAD_BROADCAST_LIMIT``
+    candidates, hash-partitioned pairs ⋈ signature joins above it — into
+    one verify kernel (:func:`_verify_pairs`)."""
 
     def sig_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -1002,63 +831,20 @@ def simhash_near_dup_pairs(
 
     members = _dup_members(sig_ds) if expand_dups else None
 
-    route, cand = _route_candidates(pairs, payload_broadcast_limit)
-    if route == "join":
-        from .relational import hash_join
-
-        payload = hash_join(
-            sig_ds.select_columns(["doc_id", "sig"]), cand, on=["doc_id"]
-        ).materialize()
-        joined = _attach_pair_payload(pairs, payload, ["sig"])
-
-        def verify_joined(batch: pd.DataFrame) -> pa.Table:
-            if not len(batch):
-                e = np.array([], dtype=np.int64)
-                return pa.table({"doc_a": pa.array(e, pa.int64()),
-                                 "doc_b": pa.array(e, pa.int64()),
-                                 "hamming": pa.array(e, pa.int64())})
-            sa = batch["sig_a"].to_numpy(dtype=np.uint64)
-            sb = batch["sig_b"].to_numpy(dtype=np.uint64)
-            h = _popcount64(np.bitwise_xor(sa, sb))
-            keep = h <= max_hamming
-            return pa.table({
-                "doc_a": pa.array(
-                    batch["doc_a"].to_numpy(dtype=np.int64)[keep], pa.int64()),
-                "doc_b": pa.array(
-                    batch["doc_b"].to_numpy(dtype=np.int64)[keep], pa.int64()),
-                "hamming": pa.array(h[keep], pa.int64()),
-            })
-
-        verified = joined.map_batches(verify_joined, batch_format="pandas")
-        return _expand_dup_pairs(verified, members, "hamming", 0)
-
-    pdf = _broadcast_candidate_payload(
-        sig_ds, cand,
-        lambda keep: pa.table({
-            "doc_id": pa.array(keep["doc_id"].tolist(), pa.int64()),
-            "sig": pa.array([int(s) for s in keep["sig"]], pa.uint64()),
-        }),
-        ["doc_id", "sig"],
-    )
-    sig_ref = ray.put({int(d): int(s) for d, s in zip(pdf.get("doc_id", []),
-                                                      pdf.get("sig", []))})
-
-    def verify(batch: pd.DataFrame) -> pa.Table:
-        sigs = ray.get(sig_ref)
-        a_out, b_out, h_out = [], [], []
-        for a, b in zip(batch["doc_a"], batch["doc_b"]):
-            h = hamming64(sigs[a], sigs[b])
-            if h <= max_hamming:
-                a_out.append(a)
-                b_out.append(b)
-                h_out.append(h)
+    def verify_frame(batch: pd.DataFrame) -> pa.Table:
+        sa = batch["sig_a"].to_numpy(dtype=np.uint64)
+        sb = batch["sig_b"].to_numpy(dtype=np.uint64)
+        h = _popcount64(np.bitwise_xor(sa, sb))
+        keep = h <= max_hamming
         return pa.table({
-            "doc_a": pa.array(np.asarray(a_out, np.int64), pa.int64()),
-            "doc_b": pa.array(np.asarray(b_out, np.int64), pa.int64()),
-            "hamming": pa.array(np.asarray(h_out, np.int64), pa.int64()),
+            "doc_a": pa.array(
+                batch["doc_a"].to_numpy(dtype=np.int64)[keep], pa.int64()),
+            "doc_b": pa.array(
+                batch["doc_b"].to_numpy(dtype=np.int64)[keep], pa.int64()),
+            "hamming": pa.array(h[keep], pa.int64()),
         })
 
-    verified = pairs.map_batches(verify, batch_format="pandas")
+    verified = _verify_pairs(pairs, [(sig_ds, ["sig"])], verify_frame)
     return _expand_dup_pairs(verified, members, "hamming", 0)
 
 
@@ -1142,22 +928,21 @@ def drop_near_dup_docs(
     docs: rd.Dataset,
     pairs: rd.Dataset,
     id_col: str = "doc_id",
-    broadcast_limit: int = PAYLOAD_BROADCAST_LIMIT,
 ) -> rd.Dataset:
     """Near-dup COLLAPSE: drop every pair's larger id (``doc_b``; pairs are
     a < b, so the smaller id is the kept representative).
 
     Auto-routed like the verify stage: a small pair set broadcasts the drop
-    ids as a semi-anti filter; above ``broadcast_limit`` pairs the drop set
-    never touches the driver — a hash-partitioned LEFT join + null filter
-    (distributed anti join) does the subtraction. Both routes keep exactly
+    ids as a semi-anti filter; above ``PAYLOAD_BROADCAST_LIMIT`` pairs the
+    drop set never touches the driver — a hash-partitioned LEFT join + null
+    filter (distributed anti join) does the subtraction. Both routes keep exactly
     one row per surviving id (tested equal)."""
     import pyarrow.compute as pc
 
     from .relational import broadcast_semi_join, hash_join
 
     pairs = pairs.materialize()
-    if pairs.count() <= broadcast_limit:
+    if pairs.count() <= PAYLOAD_BROADCAST_LIMIT:
         dup_df = pairs.map_batches(
             lambda t: t.select(["doc_b"]), batch_format="pyarrow"
         ).to_pandas()
@@ -1188,7 +973,6 @@ def ngram_jaccard_pairs(
     docs: rd.Dataset,
     threshold: float = 0.5,
     gram_n: int = 3,
-    payload_broadcast_limit: int = PAYLOAD_BROADCAST_LIMIT,
     max_bucket: Optional[int] = LSH_MAX_BUCKET,
     expand_dups: bool = True,
 ) -> rd.Dataset:
@@ -1210,7 +994,7 @@ def ngram_jaccard_pairs(
          with a logged drop (a cap that never binds below ~4k distinct
          near-identical texts sharing one rare gram);
       3. candidates dedup, payloads (texts only) auto-route by count:
-         broadcast below ``payload_broadcast_limit``, hash-partitioned
+         broadcast below ``PAYLOAD_BROADCAST_LIMIT``, hash-partitioned
          pairs ⋈ text joins above it;
       4. exact word-shingle Jaccard verify — zero false positives AND
          zero false negatives (modulo the logged cap);
@@ -1221,8 +1005,6 @@ def ngram_jaccard_pairs(
     verify = ``list_intersect`` Jaccard (see ``__ray_entry__``'s
     ``docs_ngram_jaccard`` oracle)."""
     import math
-
-    import ray
 
     from ..functions.hashing import token_hash64_md5
 
@@ -1301,7 +1083,7 @@ def ngram_jaccard_pairs(
                                              batch_format="pyarrow"))
                if expand_dups else None)
 
-    def _verify_frame(batch: pd.DataFrame) -> pa.Table:
+    def verify_frame(batch: pd.DataFrame) -> pa.Table:
         a_out, b_out, j_out = [], [], []
         for a, b, ta, tb in zip(batch["doc_a"], batch["doc_b"],
                                 batch["text_a"], batch["text_b"]):
@@ -1318,60 +1100,123 @@ def ngram_jaccard_pairs(
                                 pa.float64()),
         })
 
-    route, cand = _route_candidates(pairs, payload_broadcast_limit)
-    if route == "join":
-        from .relational import hash_join
-
-        payload = hash_join(docs, cand, on=["doc_id"]).materialize()
-        joined = _attach_pair_payload(pairs, payload, ["text"])
-        verified = joined.map_batches(_verify_frame, batch_format="pandas")
-        return _expand_dup_pairs(verified, members, "jaccard", 1.0)
-
-    texts_df = _broadcast_candidate_payload(
-        docs, cand,
-        lambda keep: pa.table({
-            "doc_id": pa.array(keep["doc_id"].tolist(), pa.int64()),
-            "text": pa.array(keep["text"].tolist(), pa.string()),
-        }),
-        ["doc_id", "text"],
-    )
-    payload_ref = ray.put(
-        dict(zip(texts_df["doc_id"], texts_df["text"]))
-        if len(texts_df) and "doc_id" in texts_df.columns else {})
-
-    def verify_broadcast(batch: pd.DataFrame) -> pa.Table:
-        texts = ray.get(payload_ref)
-        if not len(batch):
-            return _verify_frame(batch.assign(text_a=[], text_b=[]))
-        return _verify_frame(batch.assign(
-            text_a=[texts[a] for a in batch["doc_a"]],
-            text_b=[texts[b] for b in batch["doc_b"]]))
-
-    verified = pairs.map_batches(verify_broadcast, batch_format="pandas")
+    verified = _verify_pairs(pairs, [(docs, ["text"])], verify_frame)
     return _expand_dup_pairs(verified, members, "jaccard", 1.0)
+
+
+def _star_round(D: rd.Dataset, large: bool) -> rd.Dataset:
+    """One large-star or small-star contraction over undirected edges (a<b).
+
+    large-star(x): m = min(N(x) ∪ {x}); connect every LARGER neighbor to m.
+    small-star(x): over smaller neighbors only; m = min(N⁻(x)); connect
+    every y ∈ N⁻(x) ∪ {x} (≠ m) to m. Both emit (a=m, b=other) with m < other,
+    preserving the a<b invariant. Directed edge rows go through one
+    :func:`relational.partition_map_groups` exchange on the center, so each
+    round is a bounded number of vectorized pandas groups (transform('min')
+    per center), never one group per node.
+    """
+    from .relational import partition_map_groups
+
+    def directed(batch: pa.Table) -> pa.Table:
+        a = batch.column("a").to_pylist()
+        b = batch.column("b").to_pylist()
+        if large:
+            xs, ys = a + b, b + a
+        else:
+            xs, ys = b, a  # center = larger endpoint
+        return pa.table({
+            "x": pa.array(xs, pa.string()),
+            "y": pa.array(ys, pa.string()),
+        })
+
+    def star(group: pd.DataFrame) -> pa.Table:
+        df = group[["x", "y"]].drop_duplicates()
+        gmin = df.groupby("x", sort=False)["y"].transform("min")
+        if large:
+            m = np.where(gmin < df["x"], gmin, df["x"])
+            keep = (df["y"] > df["x"]).to_numpy()
+            out = pd.DataFrame({"a": m[keep], "b": df["y"].to_numpy()[keep]})
+        else:
+            m = gmin.to_numpy()
+            keep = (df["y"] != gmin).to_numpy()
+            out1 = pd.DataFrame({"a": m[keep], "b": df["y"].to_numpy()[keep]})
+            heads = df.assign(m=gmin).drop_duplicates("x")
+            h2 = heads[heads["x"] != heads["m"]]
+            out2 = pd.DataFrame({"a": h2["m"].to_numpy(),
+                                 "b": h2["x"].to_numpy()})
+            out = pd.concat([out1, out2], ignore_index=True)
+        out = out.drop_duplicates()
+        return pa.Table.from_pandas(out, preserve_index=False)
+
+    return partition_map_groups(
+        D.map_batches(directed, batch_format="pyarrow"), "x", star)
+
+
+def _star_components(D: rd.Dataset, max_rounds: int = 64) -> rd.Dataset:
+    """Alternate large/small star until the canonical edge set is stable.
+    Returns the converged star forest (every non-root connected straight to
+    its component's minimal label, the root)."""
+    from ray.data.aggregate import Count
+
+    prev_sig = None
+    for _ in range(max_rounds):
+        D2 = _star_round(_star_round(D, True), False)
+        # canonical dedupe (cross-partition duplicates) + convergence signature
+        D = D2.groupby(["a", "b"]).aggregate(Count(alias_name="n")).map_batches(
+            lambda t: t.select(["a", "b"]), batch_format="pyarrow"
+        ).materialize()
+        def sig_batch(t: pa.Table) -> pa.Table:
+            import pandas as pd
+
+            pairs_str = (pd.Series(t.column("a").to_pylist(), dtype=object)
+                         + "\x01"
+                         + pd.Series(t.column("b").to_pylist(), dtype=object))
+            # batch partial = uint64 WRAPAROUND sum: addition mod 2^64 is
+            # associative+commutative, so the final signature is independent
+            # of how rows split into blocks. (The previous per-batch
+            # `sum % (2^40-1)` partials were NOT: a stable edge set under a
+            # different block split changed the signature, so convergence
+            # was only detected when two consecutive rounds happened to
+            # batch identically — tiny star forests ran 20+ rounds and
+            # occasionally blew the 64-round limit.)
+            h = int(hash64_vec(pairs_str).sum(dtype=np.uint64))
+            return pa.table({"h": pa.array([h], pa.uint64())})
+
+        parts = D.map_batches(sig_batch, batch_format="pyarrow").to_pandas()
+        # empty Datasets lose their schema through to_pandas — no edges
+        # means signature 0
+        hsum = (sum(int(v) for v in parts["h"])
+                if len(parts) and "h" in parts.columns else 0)
+        sig = (D.count(), int(hsum % (1 << 64)))
+        if sig == prev_sig:
+            return D
+        prev_sig = sig
+    raise RuntimeError(
+        f"star contraction did not converge in {max_rounds} rounds; "
+        "raise max_rounds"
+    )
 
 
 def near_dup_clusters(
     docs: rd.Dataset,
     pairs: rd.Dataset,
-    broadcast_limit: int = PAYLOAD_BROADCAST_LIMIT,
 ) -> rd.Dataset:
     """Connected components over a near-duplicate pair graph: every doc gets
     ``cluster_id`` = the smallest doc_id reachable through the pairs
     (singletons map to themselves) — the canonical duplicate-cluster
     assignment that turns pairwise dedup output into per-doc labels.
 
-    Components run through the canonicalization stage's large/small-star
-    contraction (Kiveris et al.; converges in ~6 alternations on chained
-    components vs 24 for plain label propagation) over zero-padded id
-    labels, so lexicographic min == numeric min and the a<b edge invariant
-    carries over from the pair tables. The resulting star forest (root ->
-    member rows) auto-routes onto the docs stream: broadcast dict under
-    ``broadcast_limit`` members, hash-partitioned left join above it —
-    docs never materialize on the driver."""
+    Components run through the large/small-star contraction
+    (:func:`_star_components`, Kiveris et al.; converges in ~6 alternations
+    on chained components vs 24 for plain label propagation) over
+    zero-padded id labels, so lexicographic min == numeric min and the a<b
+    edge invariant carries over from the pair tables. The resulting star
+    forest (root -> member rows) auto-routes onto the docs stream:
+    broadcast dict under ``PAYLOAD_BROADCAST_LIMIT`` members,
+    hash-partitioned left join above it — docs never materialize on the
+    driver."""
     import ray
 
-    from .canonicalize import _star_components
     from .relational import compact_blocks, hash_join
 
     def enc(batch: pa.Table) -> pa.Table:
@@ -1395,7 +1240,7 @@ def near_dup_clusters(
 
     members = forest.map_batches(dec, batch_format="pyarrow").materialize()
     docs_ids = docs.select_columns(["doc_id"])
-    if members.count() <= broadcast_limit:
+    if members.count() <= PAYLOAD_BROADCAST_LIMIT:
         mdf = members.to_pandas()
         ref = ray.put(dict(zip(mdf["doc_id"], mdf["cluster_id"]))
                       if len(mdf) and "doc_id" in mdf.columns else {})

@@ -1,6 +1,6 @@
 """Distributed graph analytics over edge Datasets.
 
-Connected components live in ``stages/canonicalize.py`` (large/small-star
+Connected components live in ``stages/dedup.py`` (large/small-star
 contraction); this module adds iterative rank propagation. PageRank is the
 canonical "iterative algorithm on Ray Data" shape: the driver orchestrates
 a fixed number of rounds; each round is one distributed join + one

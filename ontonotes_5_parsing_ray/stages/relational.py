@@ -257,32 +257,41 @@ def two_phase_aggregate(
 
     Ray Data runs no batch function on a 0-row block, so with no partials
     the result is the kernels' own typed 0-row output: ``combine`` of
-    ``partial`` of an empty frame typed like the input (column-less when no
-    upstream step kept the input's schema)."""
+    ``partial`` of an empty frame typed like the input, or of a
+    column-less one when no upstream step kept the input's schema (a
+    ``partial`` that names its own output columns still types them)."""
     # materialized before either route: a sort-based exchange re-executes
     # an unmaterialized upstream while sampling partition boundaries
     # (measured 14s vs 2.7s on a 140k-partial combine)
     parts = ds.map_batches(partial, batch_format="pandas").materialize()
     n = parts.count()
     if not n:
-        schema = ds.schema()
-        if schema is None:
-            return parts
-        empty = pd.DataFrame({
-            name: pd.Series(dtype=t.to_pandas_dtype()
-                            if isinstance(t, pa.DataType) else t)
-            for name, t in zip(schema.names, schema.types)})
+        empty = _empty_frame(ds.schema())
         return rd.from_arrow(combine(partial(empty).to_pandas()))
     if n <= PREAGG_DRIVER_LIMIT:
         return rd.from_arrow(combine(parts.to_pandas()))
     return partition_map_groups(parts, keys, combine)
 
 
+def _empty_frame(schema) -> pd.DataFrame:
+    """A 0-row frame typed by a Dataset schema (column-less for ``None``)."""
+    if schema is None:
+        return pd.DataFrame()
+    return pd.DataFrame({
+        name: pd.Series(dtype=t.to_pandas_dtype()
+                        if isinstance(t, pa.DataType) else t)
+        for name, t in zip(schema.names, schema.types)})
+
+
 def _agg_partials(
     batch: pd.DataFrame, keys: List[str], aggs: Dict[str, tuple]
 ) -> pa.Table:
     """Per-batch pandas partial aggregates of an agg spec (map-side
-    combine)."""
+    combine). An empty batch may have lost its columns upstream; it still
+    yields the spec's key and aggregate columns."""
+    if batch.empty:
+        batch = batch.reindex(columns=list(dict.fromkeys(
+            [*keys, *(c for c, _ in aggs.values())])))
     g = batch.groupby(keys, sort=False, dropna=False)
     out = {}
     for out_col, (in_col, kind) in aggs.items():
@@ -345,10 +354,13 @@ def preagg_groupby(
     ds: rd.Dataset, keys: Sequence[str], aggs: Dict[str, tuple]
 ) -> pd.DataFrame:
     """:func:`preagg_groupby_ds` collected to the driver, sorted by
-    ``keys``."""
-    out = preagg_groupby_ds(ds, keys, aggs).to_pandas()
+    ``keys``; an empty input gives an empty frame with the key and
+    aggregate columns."""
+    out_ds = preagg_groupby_ds(ds, keys, aggs)
+    out = out_ds.to_pandas()
     if not len(out):
-        return out  # Ray's to_pandas of 0 rows has no columns to sort by
+        # Ray's to_pandas of 0 rows has no columns: type them from the schema
+        return _empty_frame(out_ds.schema())
     return out.sort_values(list(keys)).reset_index(drop=True)
 
 

@@ -112,13 +112,8 @@ def test_candidate_payload_fetches_candidates_only(ray_session):
     }))
     cand = _ids_set(_distinct_candidate_ids(pairs))
     assert cand == {5, 17}
-    pdf = _broadcast_candidate_payload(
-        ds, cand,
-        lambda keep: pa.table(
-            {"doc_id": pa.array(keep["doc_id"].tolist(), pa.int64())}),
-        ["doc_id", "text"],
-    )
-    assert sorted(pdf["doc_id"]) == [5, 17]
+    payload = _broadcast_candidate_payload(ds, cand, ["text"])
+    assert sorted(payload["text"]) == [5, 17]
 
 
 def _near_dup_corpus(n=400, seed=9):
@@ -137,11 +132,12 @@ def _near_dup_corpus(n=400, seed=9):
     return texts
 
 
-def test_minhash_join_path_equals_broadcast(ray_session):
-    """payload_broadcast_limit=0 forces the hash-partitioned join verify;
+def test_minhash_join_path_equals_broadcast(ray_session, monkeypatch):
+    """PAYLOAD_BROADCAST_LIMIT=0 forces the hash-partitioned join verify;
     the pair set must equal the broadcast path's exactly."""
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import minhash_near_dup_pairs
 
     texts = _near_dup_corpus()
@@ -151,16 +147,18 @@ def test_minhash_join_path_equals_broadcast(ray_session):
     }))
     via_bcast = minhash_near_dup_pairs(ds, threshold=0.6).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    monkeypatch.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
     via_join = minhash_near_dup_pairs(
-        ds, threshold=0.6, payload_broadcast_limit=0
+        ds, threshold=0.6
     ).to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert len(via_bcast) > 50  # the corpus really is near-dup-heavy
     pd.testing.assert_frame_equal(via_bcast, via_join)
 
 
-def test_simhash_join_path_equals_broadcast(ray_session):
+def test_simhash_join_path_equals_broadcast(ray_session, monkeypatch):
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import simhash_near_dup_pairs
 
     texts = _near_dup_corpus()
@@ -170,8 +168,9 @@ def test_simhash_join_path_equals_broadcast(ray_session):
     }))
     via_bcast = simhash_near_dup_pairs(ds, max_hamming=8).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    monkeypatch.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
     via_join = simhash_near_dup_pairs(
-        ds, max_hamming=8, payload_broadcast_limit=0
+        ds, max_hamming=8
     ).to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert len(via_bcast) > 50
     pd.testing.assert_frame_equal(via_bcast, via_join)
@@ -198,12 +197,14 @@ def test_minhash_on_corpus_larger_than_payload(ray_session):
     assert all(a == 300 and b == 700 for a, b in got)
 
 
-def test_candidate_pairs_distributed_equals_driver(ray_session):
-    """Force the distributed pair-generation branch (driver_limit=0) and
-    check it emits exactly the driver branch's dedup'd pair set."""
+def test_candidate_pairs_distributed_equals_driver(ray_session, monkeypatch):
+    """Force the distributed pair-generation branch
+    (CANDIDATE_DRIVER_LIMIT=0) and check it emits exactly the driver
+    branch's dedup'd pair set."""
     import numpy as np
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import _candidate_pairs
 
     rng = np.random.RandomState(4)
@@ -215,17 +216,20 @@ def test_candidate_pairs_distributed_equals_driver(ray_session):
     }))
     via_driver = _candidate_pairs(rows, "bucket", "doc_id") \
         .to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    via_dist = _candidate_pairs(rows, "bucket", "doc_id", driver_limit=0) \
+    monkeypatch.setattr(dedup, "CANDIDATE_DRIVER_LIMIT", 0)
+    via_dist = _candidate_pairs(rows, "bucket", "doc_id") \
         .to_pandas().sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert len(via_driver) > 0
     pd.testing.assert_frame_equal(via_driver, via_dist)
 
 
-def test_drop_near_dup_docs_join_route_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces the distributed anti-join collapse; the
-    surviving id set must equal the broadcast route's."""
+def test_drop_near_dup_docs_join_route_equals_broadcast(ray_session,
+                                                        monkeypatch):
+    """PAYLOAD_BROADCAST_LIMIT=0 forces the distributed anti-join collapse;
+    the surviving id set must equal the broadcast route's."""
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import drop_near_dup_docs
 
     docs = rd.from_arrow(pa.table({
@@ -238,7 +242,8 @@ def test_drop_near_dup_docs_join_route_equals_broadcast(ray_session):
     }))
     via_b = drop_near_dup_docs(docs, pairs).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    via_j = drop_near_dup_docs(docs, pairs, broadcast_limit=0).to_pandas() \
+    monkeypatch.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
+    via_j = drop_near_dup_docs(docs, pairs).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert len(via_b) == 97  # 13, 27, 90 dropped (27 once)
     pd.testing.assert_frame_equal(via_b, via_j)
@@ -396,11 +401,12 @@ def test_ngram_jaccard_exact_vs_brute_force(ray_session):
         assert abs(got[k] - j) < 1e-9, (k, got[k], j)
 
 
-def test_ngram_jaccard_join_route_equals_broadcast(ray_session):
-    """payload_broadcast_limit=0 forces the hash-partitioned pairs-join
+def test_ngram_jaccard_join_route_equals_broadcast(ray_session, monkeypatch):
+    """PAYLOAD_BROADCAST_LIMIT=0 forces the hash-partitioned pairs-join
     verify; the pair set and scores must match the broadcast route."""
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import ngram_jaccard_pairs
 
     texts = _ngram_corpus()
@@ -410,19 +416,20 @@ def test_ngram_jaccard_join_route_equals_broadcast(ray_session):
     })).materialize()
     bc = ngram_jaccard_pairs(ds, threshold=0.5).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    jn = ngram_jaccard_pairs(ds, threshold=0.5,
-                             payload_broadcast_limit=0).to_pandas() \
+    monkeypatch.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
+    jn = ngram_jaccard_pairs(ds, threshold=0.5).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(bc, jn)
 
 
-def test_near_dup_clusters_chain_and_routes(ray_session):
+def test_near_dup_clusters_chain_and_routes(ray_session, monkeypatch):
     """A chained component (a-b, b-c, c-d) must collapse transitively to
     one cluster labeled by its min id; singletons label themselves; the
-    forced join route (broadcast_limit=0) matches the broadcast route;
-    empty pair graphs yield all-singleton output."""
+    forced join route (PAYLOAD_BROADCAST_LIMIT=0) matches the broadcast
+    route; empty pair graphs yield all-singleton output."""
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import near_dup_clusters
 
     docs = rd.from_arrow(pa.table({
@@ -438,8 +445,10 @@ def test_near_dup_clusters_chain_and_routes(ray_session):
     got = dict(zip(out["doc_id"], out["cluster_id"]))
     assert got == {0: 0, 1: 0, 2: 2, 3: 3, 5: 3, 7: 3, 9: 3,
                    4: 4, 6: 6, 8: 8}
-    joined = near_dup_clusters(docs, pairs, broadcast_limit=0).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    with monkeypatch.context() as mp:
+        mp.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
+        joined = near_dup_clusters(docs, pairs).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(out, joined)
 
     empty = rd.from_arrow(pa.table({
@@ -529,6 +538,7 @@ def test_pair_budget_tightens_cap_and_routes(ray_session, monkeypatch):
     import pyarrow as pa
     import ray.data as rd
 
+    from ontonotes_5_parsing_ray.functions import hashing
     from ontonotes_5_parsing_ray.stages import dedup as dd
 
     # 40 buckets x 300 members; ids overlap so pairs repeat across buckets
@@ -543,7 +553,7 @@ def test_pair_budget_tightens_cap_and_routes(ray_session, monkeypatch):
         "id": pa.array(np.array(ids, dtype=np.int64), pa.int64()),
     })).repartition(4)
 
-    monkeypatch.setattr(dd, "LSH_PAIR_BUDGET", 100_000)
+    monkeypatch.setattr(hashing, "LSH_PAIR_BUDGET", 100_000)
     monkeypatch.setattr(dd, "PAIR_DRIVER_LIMIT", 50_000)
     capped = dd._candidate_pairs(rows, "bucket", "id",
                                  max_bucket=4096).to_pandas()
@@ -553,7 +563,7 @@ def test_pair_budget_tightens_cap_and_routes(ray_session, monkeypatch):
     assert not capped.duplicated(["doc_a", "doc_b"]).any()
 
     # default budget: full enumeration, must be a superset of the capped
-    monkeypatch.setattr(dd, "LSH_PAIR_BUDGET", 20_000_000)
+    monkeypatch.setattr(hashing, "LSH_PAIR_BUDGET", 20_000_000)
     monkeypatch.setattr(dd, "PAIR_DRIVER_LIMIT", 8_000_000)
     full = dd._candidate_pairs(rows, "bucket", "id",
                                max_bucket=4096).to_pandas()

@@ -119,13 +119,14 @@ def _dup_window_stats(mp):
 def _candidate_pairs(mp):
     import ray.data as rd
 
-    from ontonotes_5_parsing_ray.stages.dedup import _candidate_pairs
+    from ontonotes_5_parsing_ray.stages import dedup
 
+    mp.setattr(dedup, "CANDIDATE_DRIVER_LIMIT", 0)
     rng = np.random.RandomState(4)
-    return _candidate_pairs(rd.from_arrow(pa.table({
+    return dedup._candidate_pairs(rd.from_arrow(pa.table({
         "bucket": pa.array([f"b{rng.randint(0, 40)}" for _ in range(300)]),
         "doc_id": pa.array(rng.randint(0, 120, size=300), pa.int64()),
-    })), "bucket", "doc_id", driver_limit=0)
+    })), "bucket", "doc_id")
 
 
 def _expand_dup_pairs(mp):

@@ -191,3 +191,67 @@ def test_resume_builds_no_graph_tables(ray_session, tiny_transcripts,
     monkeypatch.setattr(kg, "build_edges", boom)
     assert materialize_kg(tiny_transcripts, out_dir, num_partitions=2,
                           concurrency=2) == first
+
+
+def _stage_frames(out):
+    """Every materialized table as a sorted frame of strings (the linked
+    partitions read file by file: their directories also hold markers)."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    def frame(files):
+        df = pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
+        df = df.astype(str)
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    linked = sorted(glob.glob(os.path.join(out["linked"], "part-*",
+                                           "*.parquet")))
+    tables = {"linked": frame(linked)}
+    for name in ("canonmap", "mentions", "triples", "nodes", "edges",
+                 "errors"):
+        tables[name] = frame(sorted(glob.glob(
+            os.path.join(out[name], "*.parquet"))))
+    return tables
+
+
+def test_resume_after_crash_between_data_and_marker(ray_session,
+                                                    tiny_transcripts,
+                                                    tmp_path, monkeypatch):
+    """A run that dies after writing data but before its marker — after
+    the linked hive write, before the per-partition markers; after the
+    nodes data, before its marker — resumes to the tables of a clean
+    run."""
+    from ontonotes_5_parsing_ray.pipelines import materialize
+
+    clean = _stage_frames(materialize.materialize_kg(
+        tiny_transcripts, str(tmp_path / "clean"), num_partitions=2,
+        concurrency=2))
+    real_write_lineage = materialize.write_lineage
+
+    for stage in ("linked", "nodes"):
+        out_dir = str(tmp_path / f"crash_{stage}")
+
+        def crash(out, partition, at_stage, rows, extra=None):
+            if at_stage == stage:
+                raise RuntimeError(f"crash before the {stage} marker")
+            real_write_lineage(out, partition, at_stage, rows, extra)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(materialize, "write_lineage", crash)
+            with pytest.raises(RuntimeError, match="crash before"):
+                materialize.materialize_kg(tiny_transcripts, out_dir,
+                                           num_partitions=2, concurrency=2)
+        marker_dir = os.path.join(out_dir, stage)
+        assert not any(f.startswith("_DONE-")
+                       for f in os.listdir(marker_dir)), stage
+        if stage == "nodes":
+            assert os.listdir(os.path.join(marker_dir, "data"))
+        else:
+            assert os.listdir(os.path.join(marker_dir, ".tmp-write"))
+
+        resumed = _stage_frames(materialize.materialize_kg(
+            tiny_transcripts, out_dir, num_partitions=2, concurrency=2))
+        for name, want in clean.items():
+            pd.testing.assert_frame_equal(want, resumed[name], obj=name)

@@ -156,6 +156,40 @@ def test_windowed_event_counts_routes_equal(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_preagg_groupby_empty_input_keeps_columns(ray_session):
+    """A typed 0-row input gives an empty frame with the key and aggregate
+    columns, also through a map (Ray Data drops the schema of a map over
+    0-row blocks)."""
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages import relational
+
+    ds = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
+                                 "v": pa.array([], pa.float64())}))
+    aggs = {"n": ("v", "count"), "s": ("v", "sum")}
+    for src in (ds, ds.map_batches(lambda b: b, batch_format="pandas")):
+        out = relational.preagg_groupby(src, ["k"], aggs)
+        assert len(out) == 0
+        assert list(out.columns) == ["k", "n", "s"]
+
+
+def test_windowed_event_counts_empty_input(ray_session):
+    """No events: an empty window table with its four columns."""
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages import relational
+
+    ev = rd.from_arrow(pa.table({
+        "ts": pa.array([], pa.timestamp("us")),
+        "event_type": pa.array([], pa.string()),
+        "value": pa.array([], pa.float64()),
+    }))
+    out = relational.windowed_event_counts(ev, 3600)
+    assert len(out) == 0
+    assert list(out.columns) == ["event_type", "window_start", "n_events",
+                                 "value_sum"]
+
+
 def test_rewrite_annotations_partitioned_equals_kernel(
         ray_session, pin_exchange_partitions):
     """Round-2: the conv-partitioned distributed rewrite must equal the pure
