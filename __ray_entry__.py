@@ -1021,8 +1021,8 @@ def oracle_sql() -> dict[str, str]:
                 FROM c) WHERE rn = 1
         """,
         # FULL OUTER join twin: day-level pre-aggregates joined with
-        # COALESCE'd counts (the Ray side goes through the native
-        # full_outer Dataset.join after identical pre-aggregation).
+        # COALESCE'd counts (the Ray side goes through a full_outer
+        # hash_join after identical pre-aggregation).
         "order_ship_day_coverage": """
             WITH o AS (
                 SELECT strftime(o_orderdate, '%Y-%m-%d') AS day,

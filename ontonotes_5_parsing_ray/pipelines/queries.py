@@ -1950,7 +1950,7 @@ def order_ship_day_coverage(sf_dir: str) -> pd.DataFrame:
     other never saw (first ~4 months of shipments trail the last orders).
     Both sides pre-aggregate distributively to day cardinality FIRST, so
     the full-outer ``hash_join`` moves ~2.5k rows, never the fact tables."""
-    from ..stages.relational import compact_blocks, to_arrow
+    from ..stages.relational import to_arrow
 
     def day_col(table: str, ts_col: str, out_count: str):
         ds = _read_split(sf_dir, table, columns=[ts_col])
@@ -1968,7 +1968,7 @@ def order_ship_day_coverage(sf_dir: str) -> pd.DataFrame:
 
     o = day_col("orders", "o_orderdate", "n_orders")
     s = day_col("lineitem", "l_shipdate", "n_shipments")
-    full = hash_join(compact_blocks(o), compact_blocks(s),
+    full = hash_join(o, s,
                      on=["day"], join_type="full_outer")
     out = full.to_pandas()
     out["n_orders"] = out["n_orders"].fillna(0).astype("int64")
@@ -1987,9 +1987,7 @@ def q18_large_orders(sf_dir: str, min_qty: float = 180.0) -> pd.DataFrame:
     surviving custkeys (broadcast set, never a full dimension read)."""
     import ray
 
-    from ..stages.relational import compact_blocks, to_arrow
-
-    from ..stages.relational import partition_map_groups
+    from ..stages.relational import partition_map_groups, to_arrow
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
@@ -2005,7 +2003,7 @@ def q18_large_orders(sf_dir: str, min_qty: float = 180.0) -> pd.DataFrame:
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_totalprice",
                             "o_orderdate"])
-    joined = hash_join(orders, compact_blocks(big),
+    joined = hash_join(orders, big,
                        on=["o_orderkey"], right_on=["l_orderkey"])
     top = distributed_topk(
         joined, by=["o_totalprice", "o_orderdate", "o_orderkey"],

@@ -21,7 +21,7 @@ import ray
 import ray.data as rd
 
 from ..functions.rounding import round_half_away
-from .relational import two_phase_aggregate
+from .relational import _empty_frame, two_phase_aggregate
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -539,6 +539,8 @@ def label_centroids(embeddings: rd.Dataset) -> pd.DataFrame:
     or per partition as :func:`relational.two_phase_aggregate` picks."""
 
     def partials(batch: pd.DataFrame) -> pa.Table:
+        if batch.empty:   # may have lost its columns upstream
+            batch = batch.reindex(columns=["label", "embedding"])
         labels = batch["label"].to_numpy()
         vecs = np.asarray(batch["embedding"].tolist(), dtype=np.float64)
         out_label, out_sum, out_n = [], [], []
@@ -567,7 +569,11 @@ def label_centroids(embeddings: rd.Dataset) -> pd.DataFrame:
             "centroid": pa.array(cents, pa.list_(pa.float64())),
         })
 
-    out = two_phase_aggregate(
+    out_ds = two_phase_aggregate(
         embeddings.select_columns(["label", "embedding"]), ["label"],
-        partials, combine).to_pandas()
+        partials, combine)
+    out = out_ds.to_pandas()
+    if not len(out):
+        # Ray's to_pandas of 0 rows has no columns: type them from the schema
+        return _empty_frame(out_ds.schema())
     return out.sort_values("label").reset_index(drop=True)

@@ -49,12 +49,7 @@ from ..functions.canon import (
 )
 from ..functions import hashing
 from .dedup import _candidate_pairs, near_dup_clusters
-from .relational import (
-    compact_blocks,
-    global_row_number,
-    hash_join,
-    partition_map_groups,
-)
+from .relational import global_row_number, hash_join, partition_map_groups
 
 # Broadcast-vs-shuffle switchover for applying the canon map. Tuned for a
 # 128 GiB-heap driver: ~50M short strings; beyond that, use the groupby join.
@@ -120,9 +115,10 @@ def build_canon_map(
                             "len": pc.utf8_length(t.column("norm"))}),
         batch_format="pyarrow",
     )
-    ranked = compact_blocks(global_row_number(
+    # read three times: band rows, cluster members, the final lookup join
+    ranked = global_row_number(
         uniq, ["len", "norm"], out_col="doc_id").select_columns(
-            ["doc_id", "norm"]))
+            ["doc_id", "norm"]).materialize()
 
     def verified(attrs_a: Dict, attrs_b: Dict) -> np.ndarray:
         return np.fromiter(
@@ -134,7 +130,7 @@ def build_canon_map(
         ranked.map_batches(_band_rows, batch_format="pyarrow"),
         "band_key", "doc_id", max_bucket=hashing.LSH_MAX_BUCKET,
         filter_cols=["norm"], pair_filter=verified)
-    clusters = compact_blocks(near_dup_clusters(ranked, pairs))
+    clusters = near_dup_clusters(ranked, pairs)
 
     def canon_partition(g: pd.DataFrame) -> pa.Table:
         # a cluster's root (doc_id == cluster_id) is one of its own rows

@@ -127,6 +127,10 @@ def _candidate_pairs(
     Arrow columns, not row dicts."""
     bucket_rows = bucket_rows.materialize()
     n_rows = bucket_rows.count()
+    if not n_rows:
+        # nothing to pair (and Ray's to_pandas of 0 rows has no columns)
+        return rd.from_arrow(pa.table({"doc_a": pa.array([], pa.int64()),
+                                       "doc_b": pa.array([], pa.int64())}))
 
     # bucket-size histogram (big buckets only — the skew tail is small):
     # drives BOTH the total-pair budget (effective cap) and the
@@ -284,11 +288,7 @@ def _route_candidates(pairs: rd.Dataset):
     cand = _distinct_candidate_ids(pairs).materialize()
     if cand.count() <= limit:
         return "broadcast", _ids_set(cand)
-    from .relational import compact_blocks
-
-    # aggregate outputs can lead with an empty block; the join route feeds
-    # cand straight into Dataset.join — compact first (bounded: ids only)
-    return "join", compact_blocks(cand)
+    return "join", cand
 
 
 def _broadcast_candidate_payload(
@@ -320,16 +320,9 @@ def _attach_pair_payload(
     via hash-partitioned joins (pairs ⋈ payload on doc_a, then on doc_b,
     payload columns suffixed _a/_b) — the driver never holds candidates.
     ``payload`` must be keyed by ``doc_id`` and is materialized by the
-    caller (it is reused by both joins); every stage streams.
+    caller (it is reused by both joins); every stage streams."""
+    from .relational import hash_join
 
-    Both inputs and the intermediate join are compacted
-    (:func:`relational.compact_blocks`): they are bounded (pairs/payload
-    sized) and an empty first block would break the downstream native join
-    (ray 2.49 schema-broadcast gap)."""
-    from .relational import compact_blocks, hash_join
-
-    pairs = compact_blocks(pairs)
-    payload = compact_blocks(payload)
     side_a = payload.map_batches(
         lambda t: t.select(["doc_id"] + payload_cols).rename_columns(
             ["doc_a"] + [f"{c}_a" for c in payload_cols]),
@@ -340,7 +333,7 @@ def _attach_pair_payload(
             ["doc_b"] + [f"{c}_b" for c in payload_cols]),
         batch_format="pyarrow",
     )
-    joined = compact_blocks(hash_join(pairs, side_a, on=["doc_a"]))
+    joined = hash_join(pairs, side_a, on=["doc_a"])
     return hash_join(joined, side_b, on=["doc_b"])
 
 
@@ -364,13 +357,14 @@ def _verify_pairs(
     cols = [c for _, cs in sources for c in cs]
     route, cand = _route_candidates(pairs)
     if route == "join":
-        from .relational import compact_blocks, hash_join
+        from .relational import hash_join
 
         payload = cand
         for ds, cs in sources:
-            payload = compact_blocks(hash_join(
-                ds.select_columns(["doc_id"] + cs), payload, on=["doc_id"]))
-        return _attach_pair_payload(pairs, payload, cols).map_batches(
+            payload = hash_join(
+                ds.select_columns(["doc_id"] + cs), payload, on=["doc_id"])
+        return _attach_pair_payload(
+            pairs, payload.materialize(), cols).map_batches(
             verify_frame, batch_format="pandas")
 
     values = {}
@@ -401,7 +395,7 @@ def _dup_members(sig_ds: rd.Dataset) -> Optional[rd.Dataset]:
 
     Routing: the (already-aggregated, dup-groups-only) group table
     broadcasts as one pandas merge inside ``map_batches`` when it is small
-    — a distributed hash join here costs aggregator-actor startup that
+    — a distributed hash join here costs an exchange whose fixed cost
     dwarfs the data at report scales; above the limit the join route
     takes over unchanged."""
     import ray
@@ -409,7 +403,7 @@ def _dup_members(sig_ds: rd.Dataset) -> Optional[rd.Dataset]:
 
     from ray.data.aggregate import Count, Min
 
-    from .relational import compact_blocks, hash_join, to_arrow
+    from .relational import hash_join, to_arrow
 
     groups = sig_ds.select_columns(["h1", "h2", "doc_id"]).groupby(
         ["h1", "h2"]
@@ -431,7 +425,6 @@ def _dup_members(sig_ds: rd.Dataset) -> Optional[rd.Dataset]:
 
         return sig_ds.select_columns(["h1", "h2", "doc_id"]).map_batches(
             attach, batch_format="pandas")
-    groups = compact_blocks(groups)  # the filter leaves empty blocks
     members = hash_join(
         sig_ds.select_columns(["h1", "h2", "doc_id"]), groups,
         on=["h1", "h2"],
@@ -520,13 +513,14 @@ def _expand_dup_pairs(
     operator's defined answer for m byte-identical docs; pipelines that only
     need survivors should compose with :func:`drop_near_dup_docs` semantics
     instead of materializing pairs."""
-    from .relational import compact_blocks, hash_join, partition_map_groups
+    from .relational import hash_join, partition_map_groups
 
     if members is None:
         return verified
 
-    members = compact_blocks(members)
-    verified = compact_blocks(verified)
+    # both are read more than once below (counts, broadcast, joins)
+    members = members.materialize()
+    verified = verified.materialize()
 
     score_dtype = (pa.int64() if isinstance(intra_score, (int, np.integer))
                    else pa.float64())
@@ -534,7 +528,7 @@ def _expand_dup_pairs(
     # Broadcast fast path: a small membership table expands through ONE
     # pandas merge per batch (and a driver-built intra table, bounded by
     # the exact pair-count check) — the two hash-partitioned joins below
-    # cost aggregator-actor startup that dwarfs report-scale data.
+    # cost exchanges whose fixed cost dwarfs report-scale data.
     if members.count() <= PAYLOAD_BROADCAST_LIMIT:
         mdf = members.to_pandas()
         sizes = mdf.groupby("rep", sort=False)["doc_id"].size().to_numpy()
@@ -578,8 +572,7 @@ def _expand_dup_pairs(
     mem_b = members.map_batches(
         lambda t: t.rename_columns(["doc_b", "member_b"]),
         batch_format="pyarrow")
-    j = compact_blocks(
-        hash_join(verified, mem_a, on=["doc_a"], join_type="left_outer"))
+    j = hash_join(verified, mem_a, on=["doc_a"], join_type="left_outer")
     j = hash_join(j, mem_b, on=["doc_b"], join_type="left_outer")
 
     def finish(batch: pd.DataFrame) -> pa.Table:
@@ -952,15 +945,13 @@ def drop_near_dup_docs(
 
     from ray.data.aggregate import Count
 
-    from .relational import compact_blocks
-
-    dup_ids = compact_blocks(pairs.map_batches(
+    dup_ids = pairs.map_batches(
         lambda t: t.select(["doc_b"]), batch_format="pyarrow"
     ).groupby("doc_b").aggregate(Count(alias_name="n")).map_batches(
         lambda t: t.select(["doc_b"]).rename_columns([id_col])
                    .append_column("_dup", pa.array([1] * len(t), pa.int8())),
         batch_format="pyarrow",
-    ))
+    )
     joined = hash_join(docs, dup_ids, on=[id_col], join_type="left_outer")
     return joined.map_batches(
         lambda t: t.filter(pc.is_null(t.column("_dup")))
@@ -1217,7 +1208,7 @@ def near_dup_clusters(
     driver."""
     import ray
 
-    from .relational import compact_blocks, hash_join
+    from .relational import hash_join
 
     def enc(batch: pa.Table) -> pa.Table:
         a = ["%020d" % x for x in batch.column("doc_a").to_pylist()]
@@ -1228,7 +1219,7 @@ def near_dup_clusters(
     ids_only = pairs.map_batches(
         lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow")
     forest = _star_components(
-        compact_blocks(ids_only.map_batches(enc, batch_format="pyarrow")))
+        ids_only.map_batches(enc, batch_format="pyarrow"))
 
     def dec(batch: pa.Table) -> pa.Table:
         roots = [int(x) for x in batch.column("a").to_pylist()]
@@ -1257,7 +1248,7 @@ def near_dup_clusters(
 
         return docs_ids.map_batches(assign, batch_format="pandas")
 
-    joined = hash_join(docs_ids, compact_blocks(members),
+    joined = hash_join(docs_ids, members,
                        on=["doc_id"], join_type="left_outer")
 
     def finish(batch: pd.DataFrame) -> pa.Table:

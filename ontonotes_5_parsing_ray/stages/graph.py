@@ -25,7 +25,6 @@ import ray
 import ray.data as rd
 
 from .relational import (
-    compact_blocks,
     hash_join,
     partition_map_groups,
     preagg_groupby_ds,
@@ -130,9 +129,8 @@ def pagerank(
             ["node"], {"c": ("c", "sum")},
         )
         # left-join the contribution sums onto the full node set so every
-        # node survives the round; compact_blocks guards the ray-2.49
-        # empty-first-block join schema bug on the bounded summed side
-        full = hash_join(outdeg, compact_blocks(summed),
+        # node survives the round
+        full = hash_join(outdeg, summed,
                          join_type="left_outer",
                          on=["src"], right_on=["node"])
 
@@ -357,10 +355,8 @@ def label_propagation(
         return (state.rename("label").reset_index()
                 [["node", "label"]].reset_index(drop=True))
 
-    # join route: state stays distributed. Both join inputs drop their
-    # empty blocks first: exchange outputs routinely hold them, and the
-    # hash join fails on an empty first block (see compact_blocks)
-    edges = compact_blocks(edges)
+    # join route: state stays distributed; the edges are read every round
+    edges = edges.materialize()
     state_ds = seeds.materialize()
     for _ in range(rounds):
         joined = hash_join(edges, state_ds, on=["u"], right_on=["node"])
@@ -399,7 +395,7 @@ def label_propagation(
 
         both = summed.map_batches(tag_cand, batch_format="pandas").union(
             seeds.map_batches(tag_seed, batch_format="pandas"))
-        state_ds = compact_blocks(partition_map_groups(both, "node", pick))
+        state_ds = partition_map_groups(both, "node", pick)
     return state_ds
 
 

@@ -8,6 +8,13 @@ via ``ray.put``, and probed per batch — no shuffle; the wide aggregates
 pre-combine inside ``map_batches`` before the (tiny) final groupby; fact-to-
 fact joins go through :func:`hash_join` (both sides hash-partitioned on the
 key — never materialized to the driver).
+
+Every hash exchange in the module is one keyed exchange (:func:`_exchange`)
+whose partition count comes from :func:`exchange_partitions`:
+:func:`partition_map_groups` runs a pandas kernel per partition, and
+:func:`hash_join` runs ``pa.Table.join`` on the two sides of a tagged union.
+The as-of, interval and salted-session operators exchange on key lists
+through :func:`partition_map_groups`.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -128,12 +136,21 @@ MAX_AUTO_JOIN_PARTITIONS = 4096
 
 
 def _known_size_bytes(ds: rd.Dataset):
-    """Size estimate WITHOUT triggering execution: only what the logical
-    plan's metadata already knows (pure reads, materialized datasets).
-    ``Dataset.size_bytes()`` itself executes lazy plans — never call it on
-    an unexecuted pipeline just to pick a partition count."""
+    """Size estimate WITHOUT triggering execution: an op whose size the
+    plan metadata lacks (a map, a filter) takes the size of its nearest
+    upstream ops that know theirs (reads, materialized data), summed over
+    the inputs of a ``Union``. ``Dataset.size_bytes()`` itself executes
+    lazy plans — never call it just to pick a partition count."""
+
+    def walk(op):
+        size = op.infer_metadata().size_bytes
+        if size is not None:
+            return size
+        sizes = [s for s in map(walk, op.input_dependencies) if s]
+        return sum(sizes) if sizes else None
+
     try:
-        return ds._logical_plan.dag.infer_metadata().size_bytes
+        return walk(ds._logical_plan.dag)
     except Exception:
         return None
 
@@ -151,10 +168,9 @@ def _auto_join_partitions(cpus: int, *input_bytes) -> int:
 
 def exchange_partitions(*inputs: Optional[rd.Dataset]) -> int:
     """Partition count of the package's hash exchanges — the one place
-    that picks it: :func:`partition_map_groups`, :func:`hash_join` and the
-    joins that hash their own composite partition column. (The KG linker's
-    ``kg.LINK_PARTITIONS`` and ``materialize_kg``'s on-disk layout are
-    fixed counts of their own.)
+    that picks it: every :func:`partition_map_groups` exchange and every
+    :func:`hash_join` (the KG linker's ``kg.LINK_PARTITIONS`` and
+    ``materialize_kg``'s on-disk layout are fixed counts of their own).
 
     The count is a physical choice derived from the input, not an operator
     option: the CPU floor of :func:`_auto_join_partitions`, raised by the
@@ -171,6 +187,59 @@ def exchange_partitions(*inputs: Optional[rd.Dataset]) -> int:
         cpus, *(_known_size_bytes(d) for d in inputs if d is not None))
 
 
+def _hash_canon(values: np.ndarray) -> np.ndarray:
+    """A key column as HASH PARTITIONING sees it: numeric dtypes cast to
+    float64, so int64 5 and float64 5.0 land in one partition
+    (``pd.util.hash_array`` hashes one value differently per dtype, which
+    would silently drop matches across mismatched key dtypes). Huge ints
+    collapsing to one float only co-locate. Kernels see the originals."""
+    if values.dtype.kind in "iufb":
+        return values.astype(np.float64)
+    return values
+
+
+def _with_part(t: pa.Table, cols: Sequence[str], num_partitions: int
+               ) -> pa.Table:
+    """``t`` plus the int32 ``part`` column every exchange groups on: one
+    hash of the ``cols`` tuple (through :func:`_hash_canon`) mod
+    ``num_partitions``."""
+    from ..functions.hashing import hash64_pair, hash64_vec
+
+    vals = [_hash_canon(t.column(c).to_numpy(zero_copy_only=False))
+            for c in cols]
+    h = hash64_vec(vals[0])
+    for v in vals[1:]:
+        h = hash64_pair(h, v)
+    part = (h % np.uint64(num_partitions)).astype(np.int32)
+    return t.append_column("part", pa.array(part, pa.int32()))
+
+
+def _exchange(ds: rd.Dataset, kernel, batch_format: str) -> rd.Dataset:
+    """The one keyed exchange under :func:`partition_map_groups` and
+    :func:`hash_join`: a sort shuffle on the ``part`` column of ``ds`` (see
+    :func:`_with_part`) and one ``kernel`` call per partition, on a batch of
+    ``batch_format`` without the ``part`` column. Plain tasks, no actor."""
+    def run(g):
+        return kernel(g.drop_columns(["part"]) if isinstance(g, pa.Table)
+                      else g.drop(columns=["part"]))
+    return ds.groupby("part").map_groups(run, batch_format=batch_format)
+
+
+def _arrow_schema(ds: rd.Dataset) -> Optional[pa.Schema]:
+    """``ds``'s Arrow schema: the one its plan already knows (reads,
+    materialized data), else the first non-empty bundle's (``schema()``
+    then runs the plan up to that bundle). Of a pandas block Ray types the
+    numpy columns; an object (or extension) column is taken as a string
+    column."""
+    schema = ds.schema()
+    if schema is None:
+        return None
+    if isinstance(schema.base_schema, pa.Schema):
+        return schema.base_schema
+    return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.string())
+                      for n, t in zip(schema.names, schema.types)])
+
+
 def hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -179,55 +248,59 @@ def hash_join(
     right_on: Optional[Sequence[str]] = None,
 ) -> rd.Dataset:
     """Distributed hash join: both sides are hash-partitioned on the key into
-    :func:`exchange_partitions` co-located buckets, merged bucket-locally.
+    :func:`exchange_partitions` co-located buckets, joined bucket-locally.
 
     This is the fact-to-fact path (orders ⋈ lineitem): neither side is ever
-    driver-resident, the only data movement is the two key-partitioned
-    exchanges. Each partition is one aggregator actor: small joins keep a
-    conservative CPU-derived floor (measured: 8 partitions join 600k rows in
-    ~3.5s where 32 partitions take 21s — actor startup dominates), but when
-    either side's size is KNOWN without triggering execution (parquet read
-    metadata / materialized upstream), the partition count scales up so one
-    bucket of the larger side stays under ``TARGET_JOIN_BUCKET_BYTES`` —
-    a 1 TB side auto-sizes to thousands of buckets instead of 16. Skewed
-    keys concentrate in one bucket — pre-aggregate or salt before joining
-    on a hot key.
+    driver-resident. Each side's rows get a ``_side`` tag and side-prefixed
+    column names, and the union takes ONE keyed exchange (:func:`_exchange`:
+    plain tasks, no aggregator actors). Each partition splits back into its
+    two Arrow tables and runs ``pa.Table.join(keys, right_keys, join_type)``
+    (``inner``, ``left_outer``, ``right_outer`` or ``full_outer``). A side
+    with no rows in a partition joins as a 0-row table typed by that side's
+    schema (:func:`_arrow_schema`), so an empty block, first or not, never
+    loses a side's columns; a key missing from an unknown schema takes the
+    other side's key type. Equal key values of different numeric dtypes
+    co-locate.
+
+    The partition count scales with either side's size when the plan knows
+    it, so one bucket of the larger side stays under
+    ``TARGET_JOIN_BUCKET_BYTES``. Skewed keys concentrate in one bucket —
+    pre-aggregate, salt or use :func:`skew_join` on a hot key.
     """
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=exchange_partitions(left, right),
-        on=tuple(on),
-        right_on=tuple(right_on) if right_on is not None else None,
-    )
+    keys = [list(on), list(right_on) if right_on is not None else list(on)]
+    num_partitions = exchange_partitions(left, right)
+    schemas = [_arrow_schema(left), _arrow_schema(right)]
+    prefixes = ["l:", "r:"]
 
+    def tag(side: int):
+        def fn(t: pa.Table) -> pa.Table:
+            t = _with_part(t, keys[side], num_partitions)
+            return t.rename_columns(
+                [prefixes[side] + c for c in t.column_names[:-1]] + ["part"]
+            ).append_column("_side", pa.array(
+                np.full(t.num_rows, side, np.int8), pa.int8()))
+        return fn
 
-def compact_blocks(ds: rd.Dataset) -> rd.Dataset:
-    """Materialize and drop 0-row blocks, re-exposing the surviving block
-    refs zero-copy (``from_arrow_refs`` — nothing is rewritten).
+    def join(g: pa.Table) -> pa.Table:
+        sides = []
+        for side, prefix in enumerate(prefixes):
+            names = [c for c in g.column_names if c.startswith(prefix)]
+            sides.append(
+                g.filter(pc.equal(g.column("_side"), side)).select(names)
+                .rename_columns([c[len(prefix):] for c in names]))
+        for side, other in ((0, 1), (1, 0)):
+            if not sides[side].num_columns:   # no rows here: type them
+                schema = schemas[side] or pa.schema([])
+                fields = dict(zip(schema.names, schema.types))
+                for k, ok in zip(keys[side], keys[other]):
+                    fields.setdefault(k, sides[other].schema.field(ok).type)
+                sides[side] = pa.schema(list(fields.items())).empty_table()
+        return sides[0].join(sides[1], keys=keys[0], right_keys=keys[1],
+                             join_type=join_type.replace("_", " "))
 
-    Why: ray 2.49's hash-shuffle join broadcasts input schemas to its
-    aggregators only with the FIRST shuffle task of each side, and
-    ``_shuffle_block`` short-circuits on a 0-row block WITHOUT sending the
-    typed empty shards — so an input whose first block is empty consumes
-    the broadcast while delivering nothing, aggregator partitions that
-    receive no real shard build schema-less tables, and the pyarrow join
-    fails with "No match or multiple matches for key field". Join outputs
-    and groupby/map_groups outputs routinely contain empty blocks, so any
-    BOUNDED dataset that feeds ``Dataset.join`` (pair tables, payloads,
-    membership tables) should pass through here first. Arrow-block
-    datasets only (pandas-block UDF outputs must convert to Arrow at the
-    producer — which shuffle-feeding UDFs must do anyway, see
-    :func:`to_arrow`). Do NOT call on unbounded streams: it materializes.
-    """
-    from ray.data.dataset import MaterializedDataset
-
-    mat = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
-    refs = [blk for bundle in mat.iter_internal_ref_bundles()
-            for blk, meta in bundle.blocks if meta.num_rows]
-    if not refs:
-        return mat
-    return rd.from_arrow_refs(refs)
+    tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
+        right.map_batches(tag(1), batch_format="pyarrow"))
+    return _exchange(tagged, join, "pyarrow")
 
 
 # Partial-row count at or below which :func:`two_phase_aggregate` combines
@@ -654,21 +727,6 @@ def grouped_median(
         key_driver_limit=key_driver_limit)
 
 
-def _hash_canon(col: pd.Series) -> np.ndarray:
-    """Canonical representation of a join key for HASH PARTITIONING only:
-    all numeric dtypes cast to float64 so int64 5 and float64 5.0 land in
-    the same partition (``pd.util.hash_array`` hashes the same value
-    differently across dtypes — mismatched left/right key dtypes would
-    silently drop every match). Distinct huge ints collapsing to one float
-    only co-locates them — partitioning stays correct. The JOIN itself
-    still sees the original values (pandas raises loudly on incompatible
-    merge key dtypes — fail-stop, never silent)."""
-    arr = col.to_numpy()
-    if arr.dtype.kind in "iufb":
-        return arr.astype(np.float64)
-    return arr
-
-
 def grouped_quantiles_ds(
     ds: rd.Dataset,
     key_col: str,
@@ -823,18 +881,16 @@ def asof_join(
     JOIN`` semantics; unmatched right columns come back null).
 
     Ray Data has no native as-of join, so this is the documented composition:
-    both sides are tagged and CO-PARTITIONED by ``hash(by) % P`` through one
-    union + groupby (every key's rows from both sides land in the same
-    bounded partition), and each partition runs ONE vectorized
-    ``pd.merge_asof`` — never a per-key UDF. ``P`` is
-    :func:`exchange_partitions` of both sides. Partition keys hash through
-    :func:`_hash_canon` so mismatched numeric dtypes across the two sides
-    cannot silently mis-partition.
+    both sides are tagged and CO-PARTITIONED on ``by`` through one union +
+    :func:`partition_map_groups` exchange (every key's rows from both sides
+    land in the same bounded partition, whatever the numeric dtype of
+    ``by`` on each side), and each partition runs ONE vectorized
+    ``pd.merge_asof`` — never a per-key UDF.
 
     Partitioning assumption (default route): all rows of one ``by`` key fit
     a partition. For a hotter-than-partition key (one user with 10^9
     events), pass ``salt_bucket`` (seconds of ``on`` per salt bucket): both
-    sides then co-partition by ``hash(by, floor(on/salt_bucket))`` —
+    sides then co-partition on ``(by, floor(on/salt_bucket))`` —
     bounded partitions regardless of key skew — and exactness is restored
     by a carry-in pass: the latest right row of every (key, bucket) is
     summarized (one row per non-empty bucket), each left bucket picks its
@@ -850,10 +906,6 @@ def asof_join(
     the absent side. Right-side (by, on) ties: ``right_dedup_max`` collapses
     them to the max of that column; without it the tie-break is the largest
     tuple of value columns (deterministic on both routes)."""
-    from ..functions.hashing import hash64_vec, partition_vec
-
-    num_partitions = exchange_partitions(left, right)
-
     left_only = [c for c in left_cols if c not in (by, on)]
     right_only = [c for c in right_cols if c not in (by, on)]
     overlap = set(left_only) & set(right_only)
@@ -861,13 +913,8 @@ def asof_join(
         raise ValueError(f"rename overlapping value columns first: {overlap}")
     union_cols = [by, on] + left_only + right_only
 
-    def _part_col(df: pd.DataFrame) -> np.ndarray:
-        if salt_bucket is None:
-            return partition_vec(_hash_canon(df[by]), num_partitions)
-        tb = (df[on].to_numpy().astype(np.int64) // salt_bucket)
-        mixed = (hash64_vec(_hash_canon(df[by]))
-                 ^ (tb.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)))
-        return (mixed % np.uint64(num_partitions)).astype(np.int32)
+    def tbucket(df: pd.DataFrame) -> np.ndarray:
+        return df[on].to_numpy().astype(np.int64) // salt_bucket
 
     def tag(side: int, present: List[str]):
         def fn(batch: pd.DataFrame) -> pa.Table:
@@ -885,8 +932,9 @@ def asof_join(
             df.insert(1, on, batch[on].astype("float64")
                       if salt_bucket is not None else batch[on])
             df["_side"] = np.int8(side)
-            df["part"] = _part_col(df)
-            return to_arrow(df[union_cols + ["_side", "part"]])
+            if salt_bucket is not None:
+                df["tbucket"] = tbucket(df)
+            return to_arrow(df)
         return fn
 
     def _dedup_right(r: pd.DataFrame) -> pd.DataFrame:
@@ -929,8 +977,7 @@ def asof_join(
             df.insert(0, by, batch[by])
             df.insert(1, on, batch[on])
             df["_side"] = batch["_side"].to_numpy().astype(np.int8)
-            df["part"] = _part_col(df)
-            return to_arrow(df[union_cols + ["_side", "part"]])
+            return to_arrow(df)
 
         tagged = left.map_batches(tag_combined, batch_format="pandas")
     else:
@@ -939,37 +986,34 @@ def asof_join(
         ).union(right.map_batches(tag(1, right_cols), batch_format="pandas"))
 
     if salt_bucket is None:
-        return tagged.groupby("part").map_groups(
-            merge_partition, batch_format="pandas")
+        return partition_map_groups(tagged, by, merge_partition)
 
     # ---- salted route: per-(by, bucket) summaries + carry-in ------------
+    carry_cols = [by, "tbucket", on] + right_only
+
     def right_summaries(batch: pd.DataFrame) -> pa.Table:
         """Per-batch partial: last right row of each (by, bucket)."""
         b = pd.DataFrame({c: batch[c].astype("float64")
                           for c in right_only})
         b.insert(0, by, batch[by])
         b.insert(1, on, batch[on].astype("float64"))
-        b["tbucket"] = b[on].to_numpy().astype(np.int64) // salt_bucket
+        b["tbucket"] = tbucket(b)
         b = _dedup_right(b)
         b = b.sort_values([by, "tbucket", on] + right_only,
                           kind="mergesort") \
              .drop_duplicates([by, "tbucket"], keep="last")
         b["_side"] = np.int8(1)
-        b["part"] = partition_vec(_hash_canon(b[by]), num_partitions)
-        return to_arrow(b[[by, "tbucket", on] + right_only
-                          + ["_side", "part"]])
+        return to_arrow(b[carry_cols + ["_side"]])
 
     def left_markers(batch: pd.DataFrame) -> pa.Table:
         """Per-batch partial: distinct (by, bucket) pairs holding left rows."""
         b = pd.DataFrame({by: batch[by]})
-        b["tbucket"] = batch[on].to_numpy().astype(np.int64) // salt_bucket
+        b["tbucket"] = tbucket(batch)
         b = b.drop_duplicates([by, "tbucket"])
         for c in [on] + right_only:
             b[c] = np.nan
         b["_side"] = np.int8(0)
-        b["part"] = partition_vec(_hash_canon(b[by]), num_partitions)
-        return to_arrow(b[[by, "tbucket", on] + right_only
-                          + ["_side", "part"]])
+        return to_arrow(b[carry_cols + ["_side"]])
 
     def carry_partition(group: pd.DataFrame) -> pa.Table:
         """Each left bucket picks the latest summary of any EARLIER bucket."""
@@ -986,25 +1030,22 @@ def asof_join(
                                   for c in [on] + right_only})
             empty.insert(0, by, pd.Series(dtype=group[by].dtype))
             empty.insert(1, "tbucket", pd.Series(dtype="int64"))
-            return to_arrow(empty[[by, "tbucket", on] + right_only])
+            return to_arrow(empty[carry_cols])
         carry = pd.merge_asof(
             markers.sort_values("tbucket", kind="mergesort"),
-            rights[[by, "tbucket", on] + right_only]
+            rights[carry_cols]
             .rename(columns={"tbucket": "_rb"})
             .sort_values("_rb", kind="mergesort"),
             left_on="tbucket", right_on="_rb", by=by,
             direction="backward", allow_exact_matches=False,
         )
         carry = carry[carry[on].notna()]
-        return to_arrow(carry[[by, "tbucket", on] + right_only])
+        return to_arrow(carry[carry_cols])
 
-    summaries = right.map_batches(right_summaries, batch_format="pandas")
-    markers = left.map_batches(left_markers, batch_format="pandas")
-    carry_rows = (
-        summaries.union(markers)
-        .groupby("part")
-        .map_groups(carry_partition, batch_format="pandas")
-    )
+    carry_rows = partition_map_groups(
+        right.map_batches(right_summaries, batch_format="pandas").union(
+            left.map_batches(left_markers, batch_format="pandas")),
+        by, carry_partition)
 
     def carry_to_union(batch: pd.DataFrame) -> pa.Table:
         """Re-shape carry rows as right-side union rows of their TARGET
@@ -1018,16 +1059,12 @@ def asof_join(
         df.insert(0, by, batch[by])
         df.insert(1, on, batch[on])
         df["_side"] = np.int8(1)
-        tb = batch["tbucket"].to_numpy().astype(np.int64)
-        mixed = (hash64_vec(_hash_canon(batch[by]))
-                 ^ (tb.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)))
-        df["part"] = (mixed % np.uint64(num_partitions)).astype(np.int32)
-        return to_arrow(df[union_cols + ["_side", "part"]])
+        df["tbucket"] = batch["tbucket"].to_numpy().astype(np.int64)
+        return to_arrow(df)
 
     full = tagged.union(
         carry_rows.map_batches(carry_to_union, batch_format="pandas"))
-    return full.groupby("part").map_groups(
-        merge_partition, batch_format="pandas")
+    return partition_map_groups(full, [by, "tbucket"], merge_partition)
 
 
 def partition_map_groups(
@@ -1037,9 +1074,9 @@ def partition_map_groups(
 ) -> rd.Dataset:
     """THE keyed exchange: one ``hash(key) % P`` shuffle + one vectorized
     pandas kernel per partition. Every hash-partitioned ``map_groups`` in
-    the package goes through here (only the salted KG linker and the
-    salted / time-bucketed joins hash composite keys themselves), and ``P``
-    is always :func:`exchange_partitions` of the input.
+    the package goes through here or through :func:`hash_join`, which
+    shares its exchange (only ``kg.link`` runs its own), and ``P`` is
+    always :func:`exchange_partitions` of the input.
 
     This is the HIGH-cardinality groupby plan. Map-side pre-aggregation
     (:func:`two_phase_aggregate`) only helps when the key space is much
@@ -1050,28 +1087,19 @@ def partition_map_groups(
     faster at 10M rows / 200k keys).
 
     ``part_key`` is one column or a list of columns; a list is exchanged on
-    one hash of the whole tuple. ``kernel(df) -> pa.Table`` sees every row
-    of its partition (the ``part`` column dropped); co-location holds for
-    ANY key tuple that contains every ``part_key`` column, so results are
-    partition-count-independent. A pair-keyed exchange may instead pass one
-    column holding the pair's hash (:func:`functions.hashing.hash64_pair`)."""
-    from ..functions.hashing import hash64_pair, hash64_vec
-
+    one hash of the whole tuple, and numeric keys hash by value, whatever
+    their dtype (:func:`_hash_canon`). ``kernel(df) -> pa.Table`` sees every
+    row of its partition (the ``part`` column dropped); co-location holds
+    for ANY key tuple that contains every ``part_key`` column, so results
+    are partition-count-independent. A pair-keyed exchange may instead pass
+    one column holding the pair's hash
+    (:func:`functions.hashing.hash64_pair`)."""
     cols = [part_key] if isinstance(part_key, str) else list(part_key)
     num_partitions = exchange_partitions(ds)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        h = hash64_vec(t.column(cols[0]).to_numpy(zero_copy_only=False))
-        for c in cols[1:]:
-            h = hash64_pair(h, t.column(c).to_numpy(zero_copy_only=False))
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part, pa.int32()))
-
-    def run(g: pd.DataFrame) -> pa.Table:
-        return kernel(g.drop(columns=["part"]))
-
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(run, batch_format="pandas"))
+    return _exchange(
+        ds.map_batches(lambda t: _with_part(t, cols, num_partitions),
+                       batch_format="pyarrow"),
+        kernel, "pandas")
 
 
 def groupwise_head(
@@ -1225,23 +1253,11 @@ def sessionize_events_salted(
     VECTORIZED pandas kernels (cumsum session breaks), never one UDF call
     per user or per session. Sums stay unrounded until after the merge.
     """
-    import numpy as np
-
-    from ..functions.hashing import hash64_vec
-
-    num_partitions = exchange_partitions(events)
-
     def phase_a_cols(batch: pd.DataFrame) -> pa.Table:
         b = batch[["event_id", "user_id", "value"]].copy()
         epoch = batch["ts"].astype("datetime64[us]").astype("int64") // 1_000_000
         b["epoch"] = epoch
         b["tbucket"] = epoch // bucket_seconds
-        # vectorized salted key: mix(hash(user), tbucket), no per-row
-        # f-string construction
-        mixed = (hash64_vec(b["user_id"])
-                 ^ (b["tbucket"].to_numpy().astype(np.uint64)
-                    * np.uint64(0x9E3779B97F4A7C15)))
-        b["part"] = (mixed % np.uint64(num_partitions)).astype(np.int32)
         return to_arrow(b)
 
     def sessionize_partition(group: pd.DataFrame) -> pa.Table:
@@ -1260,12 +1276,10 @@ def sessionize_events_salted(
         ).reset_index(drop=True)
         return to_arrow(agg)
 
-    partials = (
+    partials = partition_map_groups(
         events.select_columns(["event_id", "ts", "user_id", "value"])
-        .map_batches(phase_a_cols, batch_format="pandas")
-        .groupby("part")
-        .map_groups(sessionize_partition, batch_format="pandas")
-    )
+        .map_batches(phase_a_cols, batch_format="pandas"),
+        ["user_id", "tbucket"], sessionize_partition)
 
     def merge_partition(group: pd.DataFrame) -> pa.Table:
         df = group.sort_values(["user_id", "session_start", "session_end"],
@@ -1343,10 +1357,10 @@ def interval_join(
     view" shape :func:`asof_join` (most-recent-one) cannot express.
 
     Plan: time is bucketed by ``window`` so a left row's matches live in
-    exactly two buckets — the row's own and the next. Right rows shuffle
-    once to ``hash(key, bucket) % P`` (``P`` from
-    :func:`exchange_partitions`); left rows are REPLICATED into both
-    target buckets (2x the left stream, never a cross product). Each
+    exactly two buckets — the row's own and the next. Right rows take one
+    :func:`partition_map_groups` exchange on the ``(key, bucket)`` key
+    list; left rows are REPLICATED into both target buckets (2x the left
+    stream, never a cross product). Each
     partition runs one vectorized kernel: sort rights by (group, time),
     two ``searchsorted`` calls per left batch bound every match range, and
     a range-expansion emits exactly the true pairs — output size is the
@@ -1361,11 +1375,6 @@ def interval_join(
 
     Returns ``(key, l_id, r_id, l_time, r_time)``.
     """
-    from ..functions.hashing import hash64_vec
-
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
-    num_partitions = exchange_partitions(left, right)
-
     def tag(ds: rd.Dataset, is_left: Optional[bool]) -> rd.Dataset:
         def prep(b: pd.DataFrame) -> pa.Table:
             t = b[time_col].to_numpy(np.int64)
@@ -1405,9 +1414,6 @@ def interval_join(
                 out = pd.concat([b0, b1], ignore_index=True)
             else:
                 out = base.assign(bucket=t // window)
-            mixed = (hash64_vec(out["key"])
-                     ^ (out["bucket"].to_numpy().astype(np.uint64) * GOLD))
-            out["part"] = (mixed % np.uint64(num_partitions)).astype(np.int32)
             return to_arrow(out)
 
         return ds.map_batches(prep, batch_format="pandas")
@@ -1451,8 +1457,7 @@ def interval_join(
 
     both = (tag(left, None) if right is None
             else tag(left, True).union(tag(right, False)))
-    return both.groupby("part").map_groups(
-        join_partition, batch_format="pandas")
+    return partition_map_groups(both, ["key", "bucket"], join_partition)
 
 
 def ewma_by_key(
@@ -1648,7 +1653,7 @@ def skew_join(
 ) -> rd.Dataset:
     """Skew-aware distributed INNER hash join (the AQE/Hive skew-join
     plan): a plain co-partitioned join sends every row of a hot key to ONE
-    aggregator — a single key with 10^9 rows serializes the whole join.
+    partition — a single key with 10^9 rows serializes the whole join.
     Here hot LEFT keys are detected from map-side partial counts (top
     ``sample_top`` per batch; a key can only cross ``hot_threshold``
     globally if it is heavy in many batches, so the truncated partials
@@ -1665,11 +1670,9 @@ def skew_join(
     Scan budget (honest accounting): the left side is consumed once for the
     key-column-pruned count sample and once per route (hot/cold filters are
     cheap map stages over the same scan) — 1 narrow + 2 full scans. The
-    cold sides are additionally compacted (a spillable materialization,
-    comparable to the join's own aggregator buffering) because the hot/cold
-    filter empties whole blocks and ray 2.49's hash-shuffle join mishandles
-    empty first blocks. Callers with an expensive upstream should pass a
-    materialized/persisted left."""
+    cold sides are materialized once each (spillable), because each is
+    read twice: once to count it, once by the join. Callers with an
+    expensive upstream should pass a materialized/persisted left."""
     import ray
 
     def count_partials(batch: pd.DataFrame) -> pa.Table:
@@ -1701,34 +1704,20 @@ def skew_join(
 
     def typed_empty() -> rd.Dataset:
         # degenerate empty result: keep the INPUT column types (r4 ADVICE —
-        # a pa.null()-typed empty breaks downstream unions / typed reads).
-        # Pandas-block inputs report numpy dtypes (object == string here);
-        # normalize everything to arrow types.
-        def arrow_type(t):
-            if isinstance(t, pa.DataType):
-                return t
-            try:
-                return pa.from_numpy_dtype(t)
-            except (TypeError, pa.ArrowNotImplementedError):
-                return pa.string()
-
+        # a pa.null()-typed empty breaks downstream unions / typed reads)
         types: dict = {}
         for src in (right, left):   # key column: left wins
-            sch = src.schema()
-            types.update(zip(sch.names, (arrow_type(t) for t in sch.types)))
+            sch = _arrow_schema(src)
+            types.update(zip(sch.names, sch.types))
         return rd.from_arrow(pa.table(
             {c: pa.array([], types.get(c, pa.null())) for c in out_cols}))
 
-    # both cold sides compact before the native join: the hot/cold filter
-    # empties whole blocks wherever hot rows cluster, and ray 2.49's
-    # hash-shuffle join builds schema-less aggregator tables when a side's
-    # empty first block swallows the schema broadcast (see compact_blocks).
-    # The materialization this costs is spillable and comparable to the
-    # join's own aggregator buffering; it also hands hash_join exact sizes.
-    left_cold = compact_blocks(
-        left.map_batches(side(False), batch_format="pandas"))
-    right_cold = compact_blocks(
-        right.map_batches(side(False), batch_format="pandas"))
+    # each cold side is counted, then joined: materialize it once (this
+    # also hands hash_join exact sizes)
+    left_cold = left.map_batches(side(False), batch_format="pandas") \
+        .materialize()
+    right_cold = right.map_batches(side(False), batch_format="pandas") \
+        .materialize()
     cold = None
     if left_cold.count() and right_cold.count():
         cold = hash_join(left_cold, right_cold, on=[on]) \

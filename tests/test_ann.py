@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from tests.conftest import SF_DIR
 
@@ -191,3 +192,23 @@ def test_knn_graph_matches_numpy_bruteforce(ray_session):
 
     with pytest.raises(ValueError, match="broadcast_limit"):
         knn_graph(ds, k=2, broadcast_limit=10)
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+def test_label_centroids_on_empty_input(ray_session, mapped):
+    """A typed 0-row embeddings table gives 0 centroids with the output
+    columns (the partial sees a column-less batch once a map drops the
+    input's schema, and Ray's ``to_pandas`` of 0 rows has no columns)."""
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages.ann import label_centroids
+
+    ds = rd.from_arrow(pa.table({
+        "label": pa.array([], pa.int32()),
+        "embedding": pa.array([], pa.list_(pa.float64())),
+    }))
+    if mapped:
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    out = label_centroids(ds)
+    assert len(out) == 0
+    assert list(out.columns) == ["label", "n", "centroid"]

@@ -4,6 +4,7 @@ import itertools
 
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from ontonotes_5_parsing_ray.functions.hashing import jaccard, word_shingles
 
@@ -678,3 +679,31 @@ def test_ngram_jaccard_random_corpus_multi_threshold(ray_session):
                itertools.combinations(range(len(texts)), 2)
                if jaccard(sh[a], sh[b]) >= t}
         assert got == exp, (t, got ^ exp)
+
+
+@pytest.mark.parametrize("family", ["minhash", "simhash", "ngram"])
+def test_near_dup_pairs_on_empty_corpus(ray_session, family):
+    """A typed 0-row corpus gives 0 pairs: the candidate enumeration must
+    not read columns from Ray's column-less ``to_pandas`` of 0 rows."""
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages import dedup
+
+    fn = {"minhash": dedup.minhash_near_dup_pairs,
+          "simhash": dedup.simhash_near_dup_pairs,
+          "ngram": dedup.ngram_jaccard_pairs}[family]
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                   "text": pa.array([], pa.string())}))
+    assert fn(docs).count() == 0
+
+
+def test_candidate_pairs_on_empty_bucket_rows(ray_session):
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages.dedup import _candidate_pairs
+
+    out = _candidate_pairs(rd.from_arrow(pa.table({
+        "bucket": pa.array([], pa.string()),
+        "doc_id": pa.array([], pa.int64())})), "bucket", "doc_id")
+    assert out.count() == 0
+    assert out.schema().names == ["doc_a", "doc_b"]

@@ -1,11 +1,15 @@
 """Every hash-partitioned operator takes its partition count from the one
 shared rule (``relational.exchange_partitions``), and its output does not
-depend on that count."""
+depend on that count. None of them calls Ray's ``Dataset.join``."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+
+# above 2^53: a float64 round trip would change it
+BIG = (1 << 60) + 1
 
 
 def _events():
@@ -32,6 +36,103 @@ def _edges():
         "src": [a for a, _ in rows], "dst": [b for _, b in rows],
         "w": [float((a * b) % 7 + 1) for a, b in rows],
     })).repartition(3)
+
+
+def _join_sides(right_key: str = "k"):
+    """A left input whose first block a filter has emptied (its int64
+    values are above 2^53) and a two-block right input; keys overlap in
+    part."""
+    import ray.data as rd
+
+    rng = np.random.RandomState(11)
+    left = pa.table({
+        "k": pa.array(rng.randint(0, 40, size=200), pa.int64()),
+        "lv": pa.array(BIG + np.arange(200), pa.int64()),
+    })
+    right = pa.table({
+        right_key: pa.array(rng.randint(20, 60, size=60), pa.int64()),
+        "rv": pa.array(rng.randint(0, 1000, size=60) / 8, pa.float64()),
+    })
+    lds = rd.from_arrow([left.slice(i, 50) for i in range(0, 200, 50)]) \
+        .map_batches(lambda t: t.filter(pc.greater_equal(t["lv"], BIG + 50)),
+                     batch_format="pyarrow")
+    return lds, rd.from_arrow([right.slice(0, 30), right.slice(30)])
+
+
+def _hash_join(join_type: str, right_on: bool = False):
+    def case(mp):
+        from ontonotes_5_parsing_ray.stages.relational import hash_join
+
+        left, right = _join_sides("rk" if right_on else "k")
+        return hash_join(left, right, on=["k"], join_type=join_type,
+                         right_on=["rk"] if right_on else None)
+    case.__name__ = f"_hash_join_{join_type}" + ("_right_on" if right_on
+                                                  else "")
+    return case
+
+
+def _hash_join_pandas_blocks(mp):
+    """Pandas-block sides with string (object) key and value columns: a
+    side missing from a partition is typed from a pandas schema."""
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages.relational import hash_join
+
+    left = pd.DataFrame({"k": [f"u{i % 13}" for i in range(60)],
+                         "a": np.arange(60)})
+    right = pd.DataFrame({"k": [f"u{i}" for i in range(5, 9)],
+                          "b": ["x", "y", "z", "w"]})
+    return hash_join(rd.from_pandas(left).repartition(3),
+                     rd.from_pandas(right), on=["k"], join_type="right_outer")
+
+
+def _parity(ds, odd: int):
+    """The rows of ``ds`` whose ``eid`` has parity ``odd``."""
+    return ds.map_batches(
+        lambda t: t.filter(pc.equal(pc.bit_wise_and(t["eid"], 1), odd)),
+        batch_format="pyarrow")
+
+
+def _asof_sides():
+    left = _parity(_events(), 0).select_columns(["k", "t", "v"])
+    right = _parity(_events(), 1).map_batches(
+        lambda t: t.select(["k", "t", "v"]).rename_columns(["k", "t", "w"]),
+        batch_format="pyarrow")
+    return left, right
+
+
+def _asof_join(mp):
+    from ontonotes_5_parsing_ray.stages.relational import asof_join
+
+    left, right = _asof_sides()
+    return asof_join(left, right, by="k", on="t", left_cols=["k", "t", "v"],
+                     right_cols=["k", "t", "w"])
+
+
+def _asof_join_salted(mp):
+    from ontonotes_5_parsing_ray.stages.relational import asof_join
+
+    left, right = _asof_sides()
+    return asof_join(left, right, by="k", on="t", left_cols=["k", "t", "v"],
+                     right_cols=["k", "t", "w"], salt_bucket=500)
+
+
+def _interval_join_two_sources(mp):
+    from ontonotes_5_parsing_ray.stages.relational import interval_join
+
+    return interval_join(_parity(_events(), 0), _parity(_events(), 1),
+                         "k", "t", 300, id_col="eid")
+
+
+def _interval_join_one_source(mp):
+    from ontonotes_5_parsing_ray.stages.relational import interval_join
+
+    ev = _events().map_batches(
+        lambda t: t.append_column("side", pa.array(
+            (t["eid"].to_numpy() % 2).astype(np.int8), pa.int8())),
+        batch_format="pyarrow")
+    return interval_join(ev, None, "k", "t", 300, id_col="eid",
+                         side_col="side")
 
 
 def _rolling_by_key(mp):
@@ -248,7 +349,11 @@ CASES = {f.__name__.lstrip("_"): f for f in [
     _expand_dup_pairs, _rewrite_annotations, _triangle_counts,
     _symmetrize_int_edges, _label_propagation, _contamination_overlap_join,
     _build_canon_map_distributed, _two_phase_aggregate_distributed,
-    _transcript_ordering,
+    _transcript_ordering, _hash_join("inner"), _hash_join("left_outer"),
+    _hash_join("full_outer"), _hash_join("inner", right_on=True),
+    _hash_join_pandas_blocks,
+    _asof_join, _asof_join_salted, _interval_join_two_sources,
+    _interval_join_one_source,
 ]}
 
 
@@ -264,9 +369,16 @@ def test_exchange_count_comes_from_the_shared_rule(ray_session, monkeypatch,
                                                    case):
     """Each hash-partitioned operator asks ``exchange_partitions`` for its
     partition count (a spy must be called), and running it at 1 and at 7
-    partitions gives equal sorted output."""
+    partitions gives equal sorted output, with Ray's ``Dataset.join``
+    made to raise."""
+    import ray.data as rd
+
     from ontonotes_5_parsing_ray.stages import relational
 
+    def no_join(*args, **kwargs):
+        raise AssertionError("Dataset.join called")
+
+    monkeypatch.setattr(rd.Dataset, "join", no_join)
     outs = []
     for n in (1, 7):
         calls = []
@@ -280,3 +392,54 @@ def test_exchange_count_comes_from_the_shared_rule(ray_session, monkeypatch,
         assert calls, f"{case} picked its partition count itself"
     assert len(outs[0]) > 0
     pd.testing.assert_frame_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("join_type", ["inner", "left_outer", "full_outer"])
+def test_hash_join_equals_pandas_merge(ray_session, pin_exchange_partitions,
+                                       join_type):
+    """``hash_join`` gives a pandas merge's rows at 1 and 7 partitions, on
+    a left input with an empty first block; the left int64 values above
+    2^53 come through exactly (read in Arrow: pandas turns an int column
+    with nulls into float64)."""
+    import ray
+
+    from ontonotes_5_parsing_ray.stages.relational import hash_join
+
+    left, right = _join_sides()
+    how = {"inner": "inner", "left_outer": "left",
+           "full_outer": "outer"}[join_type]
+    ldf = left.to_pandas()
+    ref = ldf.merge(right.to_pandas(), on="k", how=how)
+    exact = ldf.astype({"lv": "Int64"}).merge(right.to_pandas(), on="k",
+                                              how=how)["lv"].dropna()
+    for n in (1, 7):
+        pin_exchange_partitions(n)
+        out = hash_join(left, right, on=["k"], join_type=join_type)
+        assert out.schema().names == ["k", "lv", "rv"]
+        pd.testing.assert_frame_equal(_sorted_frame(out), _sorted_frame(ref),
+                                      check_dtype=False)
+        tables = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+        lv = [v for t in tables for v in t.column("lv").to_pylist()
+              if v is not None]
+        assert sorted(lv) == sorted(int(v) for v in exact)
+
+
+def test_exchange_size_reaches_the_read(ray_session, monkeypatch):
+    """A lazy map hides its own size, so the exchange sizes itself from the
+    nearest upstream op that knows one (here the parquet read); a union
+    sums its inputs. Nothing executes."""
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages import relational
+    from tests.conftest import SF_DIR
+
+    monkeypatch.setattr(relational, "TARGET_JOIN_BUCKET_BYTES", 1 << 12)
+    read = rd.read_parquet(f"{SF_DIR}/lineitem.parquet")
+    mapped = read.select_columns(["l_orderkey"]).map_batches(
+        lambda t: t, batch_format="pyarrow")
+    size = relational._known_size_bytes(read)
+    assert size and relational._known_size_bytes(mapped) == size
+    assert relational._known_size_bytes(mapped.union(read)) == 2 * size
+    n = relational.exchange_partitions(read)
+    assert n > relational.exchange_partitions(None)   # above the CPU floor
+    assert relational.exchange_partitions(mapped) == n

@@ -340,13 +340,13 @@ def test_auto_join_partitions_size_aware(ray_session):
     assert _auto_join_partitions(8, MAX_AUTO_JOIN_PARTITIONS * one_tb,
                                  None) == MAX_AUTO_JOIN_PARTITIONS
 
-    # metadata probe: known for a pure parquet read, None after a lazy
-    # transform (and cheap either way — no execution)
+    # metadata probe: known for a pure parquet read, and through it after a
+    # lazy transform (cheap either way — no execution)
     ds = rd.read_parquet("/root/testdata/sf0.001/lineitem.parquet")
     sz = _known_size_bytes(ds)
     assert sz is None or sz > 0
     mapped = ds.map_batches(lambda t: t, batch_format="pyarrow")
-    assert _known_size_bytes(mapped) is None or _known_size_bytes(mapped) > 0
+    assert _known_size_bytes(mapped) == sz
 
 
 def test_groupwise_head_quota(ray_session):
