@@ -32,6 +32,7 @@ Scale notes
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Callable, Dict, List, Optional, Union
 
@@ -534,13 +535,15 @@ def build_graph(linked: rd.Dataset, canon_map: rd.Dataset
     canon: Canon = canon_map
     if canon_map.count() <= limit:
         canon = ray.put(canon_map_to_dict(canon_map, limit=limit))
-    canon_triples = canonicalize_triples(triples, canon)
+    # built on first call: over the limit the canon joins run their inputs
+    canon_triples = functools.cache(
+        lambda: canonicalize_triples(triples, canon))
     errors = linked.map_batches(_error_rows, batch_format="pyarrow")
     return {
         "mentions": lambda: mentions,
-        "triples": lambda: canon_triples,
+        "triples": canon_triples,
         "nodes": lambda: build_nodes(mentions, canon),
-        "edges": lambda: build_edges(canon_triples),
+        "edges": lambda: build_edges(canon_triples()),
         "errors": lambda: errors,
     }
 

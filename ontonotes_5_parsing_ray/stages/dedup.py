@@ -320,7 +320,7 @@ def _attach_pair_payload(
     via hash-partitioned joins (pairs ⋈ payload on doc_a, then on doc_b,
     payload columns suffixed _a/_b) — the driver never holds candidates.
     ``payload`` must be keyed by ``doc_id`` and is materialized by the
-    caller (it is reused by both joins); every stage streams."""
+    caller (it is reused by both joins)."""
     from .relational import hash_join
 
     side_a = payload.map_batches(

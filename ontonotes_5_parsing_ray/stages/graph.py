@@ -355,8 +355,7 @@ def label_propagation(
         return (state.rename("label").reset_index()
                 [["node", "label"]].reset_index(drop=True))
 
-    # join route: state stays distributed; the edges are read every round
-    edges = edges.materialize()
+    # join route: state stays distributed
     state_ds = seeds.materialize()
     for _ in range(rounds):
         joined = hash_join(edges, state_ds, on=["u"], right_on=["node"])
@@ -395,7 +394,7 @@ def label_propagation(
 
         both = summed.map_batches(tag_cand, batch_format="pandas").union(
             seeds.map_batches(tag_seed, batch_format="pandas"))
-        state_ds = partition_map_groups(both, "node", pick)
+        state_ds = partition_map_groups(both, "node", pick).materialize()
     return state_ds
 
 

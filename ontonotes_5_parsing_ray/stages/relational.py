@@ -139,10 +139,14 @@ def _known_size_bytes(ds: rd.Dataset):
     """Size estimate WITHOUT triggering execution: an op whose size the
     plan metadata lacks (a map, a filter) takes the size of its nearest
     upstream ops that know theirs (reads, materialized data), summed over
-    the inputs of a ``Union``. ``Dataset.size_bytes()`` itself executes
-    lazy plans — never call it just to pick a partition count."""
+    the inputs of a ``Union``, each op counted once. ``Dataset.size_bytes()``
+    itself executes lazy plans — never call it to pick a partition count."""
+    seen: set = set()
 
     def walk(op):
+        if id(op) in seen:
+            return None
+        seen.add(id(op))
         size = op.infer_metadata().size_bytes
         if size is not None:
             return size
@@ -214,30 +218,43 @@ def _with_part(t: pa.Table, cols: Sequence[str], num_partitions: int
     return t.append_column("part", pa.array(part, pa.int32()))
 
 
-def _exchange(ds: rd.Dataset, kernel, batch_format: str) -> rd.Dataset:
+def _exchange(ds: rd.Dataset, num_partitions: int, kernel,
+              batch_format: str) -> rd.Dataset:
     """The one keyed exchange under :func:`partition_map_groups` and
-    :func:`hash_join`: a sort shuffle on the ``part`` column of ``ds`` (see
-    :func:`_with_part`) and one ``kernel`` call per partition, on a batch of
-    ``batch_format`` without the ``part`` column. Plain tasks, no actor."""
+    :func:`hash_join`: a sort of ``ds`` on its ``part`` column (see
+    :func:`_with_part`) with fixed boundaries, so each partition is one
+    block (nothing is sampled, and the width is ``num_partitions``, not the
+    input's block count), then one ``kernel`` call per non-empty block, on
+    a batch of ``batch_format`` without ``part``. Plain tasks, no actor."""
     def run(g):
         return kernel(g.drop_columns(["part"]) if isinstance(g, pa.Table)
                       else g.drop(columns=["part"]))
-    return ds.groupby("part").map_groups(run, batch_format=batch_format)
+    bounds = list(range(1, max(num_partitions, 2)))
+    return ds.sort("part", boundaries=bounds).map_batches(
+        run, batch_size=None, batch_format=batch_format)
 
 
-def _arrow_schema(ds: rd.Dataset) -> Optional[pa.Schema]:
-    """``ds``'s Arrow schema: the one its plan already knows (reads,
-    materialized data), else the first non-empty bundle's (``schema()``
-    then runs the plan up to that bundle). Of a pandas block Ray types the
-    numpy columns; an object (or extension) column is taken as a string
-    column."""
-    schema = ds.schema()
+def _arrow_schema(schema) -> Optional[pa.Schema]:
+    """A Ray Data schema (or ``None``) as an Arrow schema. Of a pandas
+    block Ray types the numpy columns; an object (or extension) column is
+    taken as a string column."""
     if schema is None:
         return None
     if isinstance(schema.base_schema, pa.Schema):
         return schema.base_schema
     return pa.schema([(n, t if isinstance(t, pa.DataType) else pa.string())
                       for n, t in zip(schema.names, schema.types)])
+
+
+def _join_input(ds: rd.Dataset):
+    """``(ds, its Arrow schema)``, running ``ds`` at most once: a side whose
+    plan does not know its schema is materialized, since fetching it would
+    run the plan (all of it when it ends in an exchange) before the join."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema(fetch_if_missing=False)
+    return ds, _arrow_schema(schema)
 
 
 def hash_join(
@@ -257,10 +274,11 @@ def hash_join(
     two Arrow tables and runs ``pa.Table.join(keys, right_keys, join_type)``
     (``inner``, ``left_outer``, ``right_outer`` or ``full_outer``). A side
     with no rows in a partition joins as a 0-row table typed by that side's
-    schema (:func:`_arrow_schema`), so an empty block, first or not, never
-    loses a side's columns; a key missing from an unknown schema takes the
-    other side's key type. Equal key values of different numeric dtypes
-    co-locate.
+    schema, so an empty block, first or not, never loses a side's columns;
+    a key missing from an unknown schema takes the other side's key type.
+    Equal key values of different numeric dtypes co-locate. Each input runs
+    once: a side whose plan does not know its schema is materialized here
+    (:func:`_join_input`), so callers never materialize for the join.
 
     The partition count scales with either side's size when the plan knows
     it, so one bucket of the larger side stays under
@@ -268,8 +286,10 @@ def hash_join(
     pre-aggregate, salt or use :func:`skew_join` on a hot key.
     """
     keys = [list(on), list(right_on) if right_on is not None else list(on)]
+    left, left_schema = _join_input(left)
+    right, right_schema = _join_input(right)
+    schemas = [left_schema, right_schema]
     num_partitions = exchange_partitions(left, right)
-    schemas = [_arrow_schema(left), _arrow_schema(right)]
     prefixes = ["l:", "r:"]
 
     def tag(side: int):
@@ -300,7 +320,7 @@ def hash_join(
 
     tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
         right.map_batches(tag(1), batch_format="pyarrow"))
-    return _exchange(tagged, join, "pyarrow")
+    return _exchange(tagged, num_partitions, join, "pyarrow")
 
 
 # Partial-row count at or below which :func:`two_phase_aggregate` combines
@@ -1099,7 +1119,7 @@ def partition_map_groups(
     return _exchange(
         ds.map_batches(lambda t: _with_part(t, cols, num_partitions),
                        batch_format="pyarrow"),
-        kernel, "pandas")
+        num_partitions, kernel, "pandas")
 
 
 def groupwise_head(
@@ -1707,7 +1727,7 @@ def skew_join(
         # a pa.null()-typed empty breaks downstream unions / typed reads)
         types: dict = {}
         for src in (right, left):   # key column: left wins
-            sch = _arrow_schema(src)
+            sch = _arrow_schema(src.schema())
             types.update(zip(sch.names, sch.types))
         return rd.from_arrow(pa.table(
             {c: pa.array([], types.get(c, pa.null())) for c in out_cols}))

@@ -427,19 +427,71 @@ def test_hash_join_equals_pandas_merge(ray_session, pin_exchange_partitions,
 def test_exchange_size_reaches_the_read(ray_session, monkeypatch):
     """A lazy map hides its own size, so the exchange sizes itself from the
     nearest upstream op that knows one (here the parquet read); a union
-    sums its inputs. Nothing executes."""
+    sums its inputs, counting an op reached by both branches once. Nothing
+    executes."""
     import ray.data as rd
 
     from ontonotes_5_parsing_ray.stages import relational
     from tests.conftest import SF_DIR
 
     monkeypatch.setattr(relational, "TARGET_JOIN_BUCKET_BYTES", 1 << 12)
-    read = rd.read_parquet(f"{SF_DIR}/lineitem.parquet")
+    path = f"{SF_DIR}/lineitem.parquet"
+    read = rd.read_parquet(path)
     mapped = read.select_columns(["l_orderkey"]).map_batches(
         lambda t: t, batch_format="pyarrow")
     size = relational._known_size_bytes(read)
     assert size and relational._known_size_bytes(mapped) == size
-    assert relational._known_size_bytes(mapped.union(read)) == 2 * size
+    assert relational._known_size_bytes(
+        mapped.union(rd.read_parquet(path))) == 2 * size
+    # both branches come from one read: it counts once
+    assert relational._known_size_bytes(mapped.union(read)) == size
     n = relational.exchange_partitions(read)
     assert n > relational.exchange_partitions(None)   # above the CPU floor
     assert relational.exchange_partitions(mapped) == n
+
+
+def test_chained_hash_joins_run_each_input_once(ray_session, tmp_path,
+                                                pin_exchange_partitions):
+    """Two chained ``hash_join`` calls, the second fed by a keyed exchange
+    over the first: the upstream map kernel and the exchange kernel each
+    see every row once (reading a lazy side's schema must not run it
+    before the join does)."""
+    import uuid
+
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages.relational import (
+        hash_join,
+        partition_map_groups,
+        to_arrow,
+    )
+
+    def log(name: str, keys) -> None:
+        (tmp_path / f"{name}-{uuid.uuid4().hex}").write_text(
+            " ".join(str(k) for k in keys))
+
+    def upstream(t: pa.Table) -> pa.Table:
+        log("map", t.column("k").to_pylist())
+        return t
+
+    def kernel(g: pd.DataFrame) -> pa.Table:
+        log("exchange", g["k"].tolist())
+        return to_arrow(g)
+
+    def seen(name: str) -> list:
+        return sorted(int(k) for f in tmp_path.glob(f"{name}-*")
+                      for k in f.read_text().split())
+
+    pin_exchange_partitions(7)
+    keys = pa.array(np.arange(60), pa.int64())
+    left = rd.from_arrow([pa.table({"k": keys.slice(i, 10)})
+                          for i in range(0, 60, 10)]) \
+        .map_batches(upstream, batch_format="pyarrow")
+    r1 = rd.from_arrow(pa.table({"k": keys, "a": pc.multiply(keys, 2)}))
+    r2 = rd.from_arrow(pa.table({"k": keys, "b": pc.multiply(keys, 3)}))
+    first = partition_map_groups(hash_join(left, r1, on=["k"]), "k", kernel)
+    out = hash_join(first, r2, on=["k"]).to_pandas()
+    assert sorted(out["k"]) == list(range(60))
+    assert (out["b"] == 3 * out["k"]).all()
+    assert seen("map") == list(range(60))
+    assert seen("exchange") == list(range(60))
