@@ -4,8 +4,8 @@ Ray-Data-first composition (SURVEY.md §3.4):
 
     read_parquet (pruned columns)
       -> map_batches(annotate_turns)              [fused tasks, Arrow batches]
-      -> groupby(salted (conv, turn bucket) % P)  [stable turn order + coref;
-         .map_groups                               bucket 0 finalized in place]
+      -> keyed exchange on (conv, turn bucket)    [stable turn order + coref;
+                                                   bucket 0 finalized in place]
       -> phases B/C, only for conversations past one bucket
       -> canonicalization (MinHash/LSH capped pairs + components)
       -> build_graph: attach canonical surfaces   [broadcast dict or join]
@@ -18,10 +18,11 @@ call it, and it makes the broadcast-vs-join choice for canon application.
 
 Scale notes
 -----------
-* The only turn shuffle is the linking groupby, keyed by salted turn
-  buckets so no group grows with a conversation's length; conversations
-  longer than one bucket add a merge over per-bucket summaries and one map
-  (:func:`link`). Everything upstream is embarrassingly block-parallel.
+* The only turn shuffle is the linker's, the package's one keyed exchange
+  (``relational.partition_map_groups``) on salted turn buckets, so no group
+  grows with a conversation's length; conversations longer than one bucket
+  add a merge over per-bucket summaries and one map (:func:`link`).
+  Everything upstream is embarrassingly block-parallel.
 * Canonicalization shuffles *distinct surfaces*, not mentions (map-side
   distinct first), then broadcasts the resulting map back (``ray.put`` once,
   read per task) — no second all-to-all over the mention table. A map too
@@ -36,7 +37,6 @@ import functools
 import json
 from typing import Callable, Dict, List, Optional, Union
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -44,7 +44,6 @@ import ray
 import ray.data as rd
 
 from ..functions.canon import DEFAULT_THRESHOLD, canonical_entity_id
-from ..functions.hashing import hash64_vec
 from ..functions.kgrules import normalize_surface
 from ..stages import canonicalize, relational
 from ..stages.annotate import annotate_turns
@@ -155,6 +154,8 @@ def annotate(
     )
 
 
+# Nothing in the package reads this; the benchmark's link.partition_skew
+# does, and benchmark v2 deletes it.
 LINK_PARTITIONS = 64
 
 # Turns per salted link bucket: the bound on one phase-A group's length.
@@ -170,11 +171,11 @@ RESOLUTION_BROADCAST_LIMIT = 2_000_000
 def link(annotated: rd.Dataset) -> rd.Dataset:
     """One grouping pass produces mentions + triples + the error channel.
 
-    Only the compact ``link_json`` payload crosses the shuffle. The key is
-    the salted bucket ``(conv_id, max(turn_idx, 0) // LINK_BUCKET_TURNS)``,
-    spread over ``LINK_PARTITIONS`` bounded groups; bucket 0 goes to
-    ``hash(conv_id) % LINK_PARTITIONS``, so a giant conversation's later
-    buckets spread across partitions while each group stays bounded.
+    Only the compact ``link_json`` payload crosses the shuffle, which is
+    the package's one keyed exchange (``relational.partition_map_groups``)
+    on the salted bucket ``(conv_id, max(turn_idx, 0) // LINK_BUCKET_TURNS)``,
+    so a giant conversation's buckets spread across partitions while each
+    group stays bounded.
     Phase A (``link_partition``) finalizes every bucket 0 in place, so a
     conversation shorter than one bucket is done after this one exchange.
     One check of the phase-A output finds the conversations with rows past
@@ -184,20 +185,14 @@ def link(annotated: rd.Dataset) -> rd.Dataset:
     ``kgrules.link_conversation`` per conversation."""
     bucket_turns = LINK_BUCKET_TURNS
 
-    def add_part(t: pa.Table) -> pa.Table:
-        conv_h = hash64_vec(t.column("conv_id").to_numpy(zero_copy_only=False))
-        bucket = _turn_bucket(t.column("turn_idx").to_numpy(zero_copy_only=False),
-                             bucket_turns).astype(np.uint64)
-        # vectorized mix(hash(conv), bucket); bucket 0 leaves hash(conv)
-        mixed = conv_h ^ (bucket * np.uint64(0x9E3779B97F4A7C15))
-        return t.append_column("part", pa.array(
-            (mixed % np.uint64(LINK_PARTITIONS)).astype(np.int32), pa.int32()))
+    def with_bucket(t: pa.Table) -> pa.Table:
+        t = _prov_columns(t)
+        return t.append_column("bucket", pa.array(_turn_bucket(
+            t.column("turn_idx").to_numpy(zero_copy_only=False), bucket_turns)))
 
-    linked = annotated.map_batches(
-        _prov_columns, batch_format="pyarrow"
-    ).map_batches(add_part, batch_format="pyarrow").groupby("part").map_groups(
-        lambda g: link_partition(g.drop(columns=["part"]), bucket_turns),
-        batch_format="pandas",
+    linked = relational.partition_map_groups(
+        annotated.map_batches(with_bucket, batch_format="pyarrow"),
+        ["conv_id", "bucket"], lambda g: link_partition(g, bucket_turns),
     ).materialize()
     spanning = set(_collect(_on_blocks(
         linked, lambda b: _spanning_convs(b, bucket_turns)))["conv_id"])

@@ -159,17 +159,8 @@ def materialize_kg(
             ),
             batch_format="pyarrow",
         )
-        linked = _add_partition_col(
-            annotate_and_link(ds, concurrency),
-            num_partitions,
-        ).materialize()
-        # Per-partition row counts (lineage metrics) via per-batch partials.
-        counts_df = linked.map_batches(
-            lambda t: t.group_by("part").aggregate([("part", "count")]),
-            batch_format="pyarrow",
-        ).to_pandas()
-        rows_by_part = (counts_df.groupby("part")["part_count"].sum().to_dict()
-                        if len(counts_df) else {})  # 0 rows: no columns
+        linked = _add_partition_col(annotate_and_link(ds, concurrency),
+                                    num_partitions)
         # ONE hive-partitioned write for every pending partition, then
         # atomic per-partition renames + markers (resume granularity kept).
         tmp_root = os.path.join(linked_dir, ".tmp-write")
@@ -185,8 +176,11 @@ def materialize_kg(
                 os.replace(hive_dir, part_dir)
             else:
                 os.makedirs(part_dir, exist_ok=True)  # empty partition
-            write_lineage(linked_dir, p, "linked", int(rows_by_part.get(p, 0)),
-                          extra={"input": transcript_path})
+            # lineage row count from the written files' footers
+            write_lineage(linked_dir, p, "linked", sum(
+                pq.ParquetFile(os.path.join(part_dir, f)).metadata.num_rows
+                for f in os.listdir(part_dir) if f.endswith(".parquet")),
+                extra={"input": transcript_path})
         shutil.rmtree(tmp_root, ignore_errors=True)
 
     part_dirs = [

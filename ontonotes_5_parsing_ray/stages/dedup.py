@@ -895,26 +895,28 @@ def embedding_near_dup_pairs(
             b_out.append(int(ids[j]))
             c_out.append(round(float(c), 6))
 
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        rows = group.drop_duplicates("vec_id").sort_values("vec_id")
-        ids = rows["vec_id"].to_numpy(dtype=np.int64)
-        vecs = np.asarray(rows["embedding"].tolist(), dtype=np.float32)
-        norms = np.linalg.norm(vecs, axis=1)
-        norms[norms == 0] = 1.0
-        unit = vecs / norms[:, None]
+    def verify(part: pd.DataFrame) -> pa.Table:
         a_out, b_out, c_out = [], [], []
-        _verify_rows(ids, unit, 0, a_out, b_out, c_out)
+        for _bucket, group in part.groupby("bucket", sort=False):
+            rows = group.drop_duplicates("vec_id").sort_values("vec_id")
+            ids = rows["vec_id"].to_numpy(dtype=np.int64)
+            vecs = np.asarray(rows["embedding"].tolist(), dtype=np.float32)
+            norms = np.linalg.norm(vecs, axis=1)
+            norms[norms == 0] = 1.0
+            _verify_rows(ids, vecs / norms[:, None], 0, a_out, b_out, c_out)
         order = sorted(range(len(a_out)), key=lambda i: (a_out[i], b_out[i]))
-        return pd.DataFrame({"vec_a": [a_out[i] for i in order],
-                             "vec_b": [b_out[i] for i in order],
-                             "cosine": [c_out[i] for i in order]})
+        return pa.table({
+            "vec_a": pa.array([a_out[i] for i in order], pa.int64()),
+            "vec_b": pa.array([b_out[i] for i in order], pa.int64()),
+            "cosine": pa.array([c_out[i] for i in order], pa.float64()),
+        })
 
-    return (
+    from .relational import partition_map_groups
+
+    return partition_map_groups(
         embeddings.select_columns(["vec_id", "embedding"])
-        .map_batches(bucket_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
-    )
+        .map_batches(bucket_rows, batch_format="pyarrow"),
+        "bucket", verify)
 
 
 def drop_near_dup_docs(

@@ -2,8 +2,9 @@
 in salted turn buckets so no group grows with a conversation's length.
 
 Every turn is keyed by ``(conv_id, max(turn_idx, 0) // bucket_turns)``
-(see ``pipelines/kg.py:link``). Phase A, :func:`link_partition`, runs the
-bucket kernel over one shuffle partition's buckets after a single sort by
+and exchanged on that key by ``relational.partition_map_groups`` (see
+``pipelines/kg.py:link``). Phase A, :func:`link_partition`, is that
+exchange's kernel: it runs over one partition's buckets after a single sort by
 ``(conv_id, turn_idx)`` — the stable-turn-ordering invariant, SURVEY.md
 K3/J2a: never rely on global dataset order. Bucket 0 has no earlier bucket,
 so it is finalized in place, which finishes every conversation shorter than

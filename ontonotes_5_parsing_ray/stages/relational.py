@@ -172,9 +172,9 @@ def _auto_join_partitions(cpus: int, *input_bytes) -> int:
 
 def exchange_partitions(*inputs: Optional[rd.Dataset]) -> int:
     """Partition count of the package's hash exchanges — the one place
-    that picks it: every :func:`partition_map_groups` exchange and every
-    :func:`hash_join` (the KG linker's ``kg.LINK_PARTITIONS`` and
-    ``materialize_kg``'s on-disk layout are fixed counts of their own).
+    that picks it: every :func:`partition_map_groups` exchange (the KG
+    linker's included) and every :func:`hash_join` (only ``materialize_kg``'s
+    on-disk layout is a fixed count of its own).
 
     The count is a physical choice derived from the input, not an operator
     option: the CPU floor of :func:`_auto_join_partitions`, raised by the
@@ -1095,8 +1095,10 @@ def partition_map_groups(
     """THE keyed exchange: one ``hash(key) % P`` shuffle + one vectorized
     pandas kernel per partition. Every hash-partitioned ``map_groups`` in
     the package goes through here or through :func:`hash_join`, which
-    shares its exchange (only ``kg.link`` runs its own), and ``P`` is
-    always :func:`exchange_partitions` of the input.
+    shares its exchange, and ``P`` is always :func:`exchange_partitions` of
+    the input. The one Ray ``groupby().map_groups`` left is
+    :func:`sessionize_events`, kept on purpose as the single-group twin
+    that :func:`sessionize_events_salted` is checked against.
 
     This is the HIGH-cardinality groupby plan. Map-side pre-aggregation
     (:func:`two_phase_aggregate`) only helps when the key space is much

@@ -342,6 +342,35 @@ def _transcript_ordering(mp):
     return transcript_ordering(SF_DIR)
 
 
+def _embedding_near_dup_pairs(mp):
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.stages.dedup import embedding_near_dup_pairs
+
+    rng = np.random.RandomState(9)
+    base = rng.randn(20, 16)
+    vecs = np.repeat(base, 3, axis=0) + 0.001 * rng.randn(60, 16)
+    return embedding_near_dup_pairs(rd.from_arrow(pa.table({
+        "vec_id": pa.array(range(60), pa.int64()),
+        "embedding": pa.array(vecs.astype(np.float32).tolist(),
+                              pa.list_(pa.float32())),
+    })).repartition(3), threshold=0.95, n_planes=4)
+
+
+def _kg_link(mp):
+    """The flagship linker on the skewed transcripts, with buckets of 16
+    turns so phases B/C run."""
+    from ontonotes_5_parsing_ray.pipelines import kg
+    from ontonotes_5_parsing_ray.sources.transcripts import (
+        generate_transcripts,
+    )
+    from tests.test_salted_link import SKEWED, _link
+
+    mp.setattr(kg, "LINK_BUCKET_TURNS", 16)
+    return _link(generate_transcripts("/tmp/onr_transcripts/pytest_skewed",
+                                      **SKEWED))
+
+
 CASES = {f.__name__.lstrip("_"): f for f in [
     _rolling_by_key, _lag_by_key, _ewma_by_key, _range_window_sum_by_key,
     _groupwise_head, _grouped_quantiles_ds, _sessionize_events_salted,
@@ -353,7 +382,7 @@ CASES = {f.__name__.lstrip("_"): f for f in [
     _hash_join("full_outer"), _hash_join("inner", right_on=True),
     _hash_join_pandas_blocks,
     _asof_join, _asof_join_salted, _interval_join_two_sources,
-    _interval_join_one_source,
+    _interval_join_one_source, _embedding_near_dup_pairs, _kg_link,
 ]}
 
 

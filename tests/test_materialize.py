@@ -16,6 +16,8 @@ def _triples(out, ray_session):
 
 
 def test_materialize_write_resume(ray_session, tiny_transcripts, tmp_path):
+    import ray.data as rd
+
     from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
     from ontonotes_5_parsing_ray.state.checkpoint import (
         pending_partitions,
@@ -34,6 +36,9 @@ def test_materialize_write_resume(ray_session, tiny_transcripts, tmp_path):
     assert len(lineage) == 4
     assert sum(l["rows"] for l in lineage) > 0
     assert all(l["engine_version"] for l in lineage)
+    for l in lineage:
+        part_dir = os.path.join(linked_dir, f"part-{l['partition']:05d}")
+        assert l["rows"] == rd.read_parquet(part_dir).count()
 
     # idempotent rerun: markers present -> nothing recomputed, same output
     mtime_before = os.path.getmtime(os.path.join(linked_dir, "part-00001"))

@@ -46,6 +46,25 @@ def adversarial_transcripts(ray_session):
     return _fixture("adversarial", ADVERSARIAL)
 
 
+@pytest.fixture(scope="module")
+def spread_transcripts(ray_session, tmp_path_factory):
+    """The ``SKEWED`` rows dealt round-robin into 4 Parquet files, so every
+    multi-turn conversation spans several read blocks."""
+    import pyarrow.parquet as pq
+
+    from ontonotes_5_parsing_ray.oracle import extract_kg_single_process
+    from ontonotes_5_parsing_ray.sources.transcripts import (
+        build_transcripts_table,
+    )
+
+    table = build_transcripts_table(**SKEWED)
+    out = tmp_path_factory.mktemp("spread_transcripts")
+    for f in range(4):
+        pq.write_table(table.take(list(range(f, len(table), 4))),
+                       str(out / f"part-{f}.parquet"))
+    return str(out), extract_kg_single_process(table)
+
+
 @pytest.fixture
 def bucket_16(monkeypatch):
     from ontonotes_5_parsing_ray.pipelines import kg
@@ -125,6 +144,22 @@ def test_salted_pipeline_end_to_end_matches_oracle(ray_session,
     _assert_pipeline_equals_oracle(*skewed_transcripts)
 
 
+def test_spread_layout_link_equals_oracle(ray_session, spread_transcripts,
+                                          bucket_16):
+    """A conversation split across read blocks links like the oracle
+    through phases A, B and C."""
+    path, golden = spread_transcripts
+    assert _spans_buckets(golden, 16)
+    _assert_link_equals_oracle(_link(path), golden)
+
+
+def test_spread_layout_pipeline_equals_oracle(ray_session,
+                                              spread_transcripts):
+    """At the default bucket size phase A alone finishes every conversation,
+    wherever its turns were read."""
+    _assert_pipeline_equals_oracle(*spread_transcripts)
+
+
 def test_salted_copartition_phase_c_equals_broadcast(ray_session,
                                                      skewed_transcripts,
                                                      bucket_16, monkeypatch):
@@ -141,7 +176,7 @@ def test_salted_copartition_phase_c_equals_broadcast(ray_session,
                         lambda *a, **k: calls.append(a[1]) or exchange(*a, **k))
     path, golden = skewed_transcripts
     _assert_link_equals_oracle(_link(path), golden)
-    assert calls == ["conv_id"]
+    assert calls == [["conv_id", "bucket"], "conv_id"]
 
 
 def test_adversarial_routes_triple_equality(ray_session,
@@ -176,42 +211,50 @@ def test_default_bucket_giant_conversation_equals_oracle(ray_session):
 
 def test_link_execution_shape(ray_session, tiny_transcripts,
                               skewed_transcripts, monkeypatch):
-    """Conversations shorter than one bucket cost exactly one
-    ``groupby().map_groups`` and no phase-B/C code; past one bucket, phases
-    B/C run only for the conversations that span buckets."""
+    """Conversations shorter than one bucket cost exactly one keyed
+    exchange (``relational.partition_map_groups`` on ``(conv_id, bucket)``),
+    no Ray ``groupby`` and no phase-B/C code; past one bucket, phases B/C
+    run only for the conversations that span buckets, through driver dicts
+    (no second exchange)."""
     from ray.data import Dataset
 
     from ontonotes_5_parsing_ray.pipelines import kg
+    from ontonotes_5_parsing_ray.stages import relational
 
-    groupbys = []
-    groupby = Dataset.groupby
-    monkeypatch.setattr(Dataset, "groupby",
-                        lambda self, *a, **k: groupbys.append(a)
-                        or groupby(self, *a, **k))
+    exchanges = []
+    exchange = relational.partition_map_groups
+
+    def spy_exchanges():
+        def no_groupby(*_args, **_kwargs):
+            raise AssertionError("Dataset.groupby called")
+
+        monkeypatch.setattr(Dataset, "groupby", no_groupby)
+        monkeypatch.setattr(relational, "partition_map_groups",
+                            lambda *a, **k: exchanges.append(a[1])
+                            or exchange(*a, **k))
 
     def phase_b_c(*_args):
         raise AssertionError("phase B/C code ran")
 
+    spy_exchanges()
     for name in ("bucket_summaries", "resolve_buckets", "apply_resolutions",
                  "finalize_partition"):
         monkeypatch.setattr(kg, name, phase_b_c)
     linked = _link(tiny_transcripts)
-    assert groupbys == [("part",)]
+    assert exchanges == [["conv_id", "bucket"]]
     assert linked.count() > 0
 
     monkeypatch.undo()
-    monkeypatch.setattr(Dataset, "groupby",
-                        lambda self, *a, **k: groupbys.append(a)
-                        or groupby(self, *a, **k))
+    spy_exchanges()
     monkeypatch.setattr(kg, "LINK_BUCKET_TURNS", 16)
     merged = []
     resolve = kg.resolve_buckets
     monkeypatch.setattr(kg, "resolve_buckets",
                         lambda s: merged.append(set(s["conv_id"])) or resolve(s))
-    groupbys.clear()
+    exchanges.clear()
     path, golden = skewed_transcripts
     _link(path)
-    assert groupbys == [("part",)]
+    assert exchanges == [["conv_id", "bucket"]]
     mentions = golden["mentions"]
     spanning = set(mentions.loc[mentions["turn_idx"] >= 16, "conv_id"])
     assert merged == [spanning]
