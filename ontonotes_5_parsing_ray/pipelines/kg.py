@@ -8,13 +8,14 @@ Ray-Data-first composition (SURVEY.md §3.4):
                                                    bucket 0 finalized in place]
       -> phases B/C, only for conversations past one bucket
       -> canonicalization (MinHash/LSH capped pairs + components)
-      -> build_graph: attach canonical surfaces   [broadcast dict or join]
+      -> build_graph: attach canonical surfaces   [hash_join on the norm]
       -> pre-aggregated combines -> nodes / edges
       -> write_parquet partitioned + lineage markers
 
 :func:`build_graph` is the one graph-build path: :func:`run_kg_pipeline`
 (in memory) and ``materialize.materialize_kg`` (durable, resumable) both
-call it, and it makes the broadcast-vs-join choice for canon application.
+call it; canon application is a left ``relational.hash_join`` on the norm,
+which makes the broadcast-or-exchange choice itself.
 
 Scale notes
 -----------
@@ -24,9 +25,11 @@ Scale notes
   add a merge over per-bucket summaries and one map (:func:`link`).
   Everything upstream is embarrassingly block-parallel.
 * Canonicalization shuffles *distinct surfaces*, not mentions (map-side
-  distinct first), then broadcasts the resulting map back (``ray.put`` once,
-  read per task) — no second all-to-all over the mention table. A map too
-  big to broadcast is applied with hash-partitioned left joins instead.
+  distinct first). The resulting map is applied with one left
+  ``hash_join`` per surface column: a map that fits one exchange bucket is
+  broadcast (its blocks read by every task, never through the driver) —
+  no second all-to-all over the mention table; a bigger one is exchanged
+  with the mentions on the norm.
 * Nothing materializes the full input; intermediates that are materialized
   (canon map, distinct surfaces) are O(|entity vocabulary|), not O(turns).
 """
@@ -45,9 +48,9 @@ import ray.data as rd
 
 from ..functions.canon import DEFAULT_THRESHOLD, canonical_entity_id
 from ..functions.kgrules import normalize_surface
-from ..stages import canonicalize, relational
+from ..stages import relational
 from ..stages.annotate import annotate_turns
-from ..stages.canonicalize import build_canon_map, canon_map_to_dict
+from ..stages.canonicalize import build_canon_map
 from ..stages.link import (
     _spanning_convs,
     _turn_bucket,
@@ -300,56 +303,35 @@ def _norms(t: pa.Table, c: str) -> List[str]:
     return [normalize_surface(s) for s in t.column(c).to_pylist()]
 
 
-def _canonical(hits: list, ns: List[str]) -> pa.Array:
-    return pa.array([h if h is not None else n
-                     for h, n in zip(hits, ns)], pa.string())
-
-
-def _lookup_canonical(t: pa.Table, mapping: Dict[str, str],
-                      columns: Dict[str, str]) -> pa.Table:
-    """The broadcast route of :func:`_with_canonical` on one batch."""
-    for c, name in columns.items():
-        ns = _norms(t, c)
-        t = t.append_column(name, _canonical([mapping.get(n) for n in ns], ns))
-    return t
-
-
 def _with_canonical(ds: rd.Dataset, canon: Canon,
                     columns: Dict[str, str]) -> rd.Dataset:
     """Append, for each ``surface column -> output column`` pair, the
     canonical surface of the normalized surface; a norm the map lacks keeps
-    itself. ``canon`` is either the broadcast dict's ``ObjectRef`` (a dict
-    ``.get`` per row, no shuffle) or the canon-map Dataset (one left hash
-    join per column on the norm, nothing on the driver) — the lookup is the
-    only difference between the two routes."""
+    itself. Each column is one left :func:`hash_join` of its norms against
+    the canon map (``right_on=["norm"]``): the join broadcasts a map that
+    fits one exchange bucket, and exchanges both sides otherwise."""
     if isinstance(canon, ray.ObjectRef):
-        return ds.map_batches(
-            lambda t: _lookup_canonical(t, ray.get(canon), columns),
-            batch_format="pyarrow")
+        # The dict of canonicalize.canon_map_to_dict, which perfbench/layers.py
+        # passes; benchmark v2 (ROADMAP direction 4) deletes this branch.
+        mapping = ray.get(canon)
+        canon = rd.from_arrow(pa.table({
+            "norm": pa.array(list(mapping), pa.string()),
+            "canon": pa.array(list(mapping.values()), pa.string())}))
+    for c, name in columns.items():
+        norm = f"{c}_norm"
 
-    norm = {c: f"{c}_norm" for c in columns}
-    found = {c: f"{c}_canon_j" for c in columns}
+        def add_norm(t: pa.Table, c=c, norm=norm) -> pa.Table:
+            return t.append_column(norm, pa.array(_norms(t, c), pa.string()))
 
-    def add_norms(t: pa.Table) -> pa.Table:
-        for c in columns:
-            t = t.append_column(norm[c], pa.array(_norms(t, c), pa.string()))
-        return t
+        def finish(t: pa.Table, norm=norm, name=name) -> pa.Table:
+            return t.drop_columns([norm, "canon"]).append_column(
+                name, pc.coalesce(t.column("canon"), t.column(norm)))
 
-    def finish(t: pa.Table) -> pa.Table:
-        out = t.drop_columns([*norm.values(), *found.values()])
-        for c, name in columns.items():
-            out = out.append_column(name, _canonical(
-                t.column(found[c]).to_pylist(), t.column(norm[c]).to_pylist()))
-        return out
-
-    joined = ds.map_batches(add_norms, batch_format="pyarrow")
-    for c in columns:
-        right = canon.map_batches(
-            lambda t, c=c: t.rename_columns([norm[c], found[c]]),
-            batch_format="pyarrow")
-        joined = hash_join(joined, right, on=[norm[c]],
-                           join_type="left_outer")
-    return joined.map_batches(finish, batch_format="pyarrow")
+        ds = hash_join(ds.map_batches(add_norm, batch_format="pyarrow"),
+                       canon, on=[norm], right_on=["norm"],
+                       join_type="left_outer").map_batches(
+            finish, batch_format="pyarrow")
+    return ds
 
 
 _TRIPLE_CANON = {"subj": "subj_canon", "obj": "obj_canon"}
@@ -367,7 +349,7 @@ def _add_canonical_ids(t: pa.Table) -> pa.Table:
 
 def canonicalize_triples(triples: rd.Dataset, canon: Canon) -> rd.Dataset:
     """Rewrite subj/obj to canonical surfaces + ids (``canon``: the
-    broadcast map's ``ObjectRef`` or the canon-map Dataset)."""
+    canon-map Dataset, or the dict ``ObjectRef`` the benchmark passes)."""
     return _with_canonical(triples, canon, _TRIPLE_CANON).map_batches(
         _add_canonical_ids, batch_format="pyarrow")
 
@@ -467,10 +449,11 @@ def _aggregate_nodes(named: rd.Dataset) -> rd.Dataset:
 
 def build_nodes(mentions: rd.Dataset, canon: Canon) -> rd.Dataset:
     """Node table via partial aggregation: non-pronoun mentions get their
-    canonical surface (``canon``: the broadcast map's ``ObjectRef`` or the
-    canon-map Dataset), per-batch partials pre-aggregate (SURVEY.md 'push
-    aggregation partial'), then one combine per canonical surface
-    (:func:`relational.two_phase_aggregate` picks driver or distributed)."""
+    canonical surface (``canon``: the canon-map Dataset, or the dict
+    ``ObjectRef`` the benchmark passes), per-batch partials pre-aggregate
+    (SURVEY.md 'push aggregation partial'), then one combine per canonical
+    surface (:func:`relational.two_phase_aggregate` picks driver or
+    distributed)."""
     named = mentions.map_batches(_named_mentions, batch_format="pyarrow")
     return _aggregate_nodes(_with_canonical(named, canon, _NODE_CANON))
 
@@ -491,16 +474,22 @@ def build_edges(canon_triples: rd.Dataset) -> rd.Dataset:
 
 
 def _empty_graph() -> Dict[str, Callable[[], rd.Dataset]]:
-    """:func:`build_graph`'s builders for a corpus with no linked rows.
-    Ray Data runs no batch function on a 0-row block and emits column-less
-    blocks, so the row kernels run here once on the typed empty union table,
-    and the combines type their own 0-row output
+    """:func:`build_graph`'s builders for a corpus with no linked rows (and
+    its triples, nodes and edges for one with an empty canon map). Ray Data
+    runs no batch function on a 0-row block and emits column-less blocks,
+    so the row kernels run here once on the typed empty union table, and
+    the combines type their own 0-row output
     (:func:`relational.two_phase_aggregate`)."""
+    def canonical(t: pa.Table, columns: Dict[str, str]) -> pa.Table:
+        for name in columns.values():
+            t = t.append_column(name, pa.array([], pa.string()))
+        return t
+
     linked = union_schema().empty_table()
     mentions = _mention_rows(linked)
     triples = _add_canonical_ids(
-        _lookup_canonical(_triple_rows(linked), {}, _TRIPLE_CANON))
-    named = _lookup_canonical(_named_mentions(mentions), {}, _NODE_CANON)
+        canonical(_triple_rows(linked), _TRIPLE_CANON))
+    named = canonical(_named_mentions(mentions), _NODE_CANON)
     return {
         "mentions": lambda: rd.from_arrow(mentions),
         "triples": lambda: rd.from_arrow(triples),
@@ -518,26 +507,26 @@ def build_graph(linked: rd.Dataset, canon_map: rd.Dataset
     already has a table (a resumed stage) does none of its node or edge
     work.
 
-    Canon application routes once, here, on map size: at or below
-    ``canonicalize.BROADCAST_LIMIT`` entries the map broadcasts as a dict
-    (``ray.put`` once); above it the map stays a Dataset and every lookup
-    is a hash-partitioned left join — the driver never holds an over-limit
-    map."""
+    Canon application is one left :func:`relational.hash_join` per surface
+    column against ``canon_map``, which picks broadcast or exchange from
+    the map's size; the driver never holds the map. An empty map means no
+    named mention and no triple, whose tables are then typed 0-row tables
+    (:func:`_empty_graph`): the canon joins would see only 0-row blocks."""
     if not linked.count():
         return _empty_graph()
     mentions, triples = split_linked(linked)
-    limit = canonicalize.BROADCAST_LIMIT
-    canon: Canon = canon_map
-    if canon_map.count() <= limit:
-        canon = ray.put(canon_map_to_dict(canon_map, limit=limit))
-    # built on first call: over the limit the canon joins run their inputs
-    canon_triples = functools.cache(
-        lambda: canonicalize_triples(triples, canon))
     errors = linked.map_batches(_error_rows, batch_format="pyarrow")
+    if not canon_map.count():
+        return {**_empty_graph(), "mentions": lambda: mentions,
+                "errors": lambda: errors}
+    # built on first call: the exchange route of the canon joins runs
+    # its inputs when called
+    canon_triples = functools.cache(
+        lambda: canonicalize_triples(triples, canon_map))
     return {
         "mentions": lambda: mentions,
         "triples": canon_triples,
-        "nodes": lambda: build_nodes(mentions, canon),
+        "nodes": lambda: build_nodes(mentions, canon_map),
         "edges": lambda: build_edges(canon_triples()),
         "errors": lambda: errors,
     }
@@ -553,7 +542,7 @@ def run_kg_pipeline(
     The linked union table is materialized once (it is O(mentions+triples),
     far smaller than the input) so the canon map and every graph table
     derive from it without re-running annotation; :func:`build_graph`
-    builds the tables (and makes the broadcast-vs-join choice).
+    builds the tables.
     """
     linked = annotate_and_link(read_transcripts(transcript_path),
                                concurrency).materialize()

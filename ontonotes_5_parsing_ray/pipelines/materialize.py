@@ -99,7 +99,7 @@ def materialize_kg(
     Returns {table_name: directory}. Idempotent: a completed run is a no-op;
     a partially completed run finishes only the pending work. The graph
     tables come from :func:`kg.build_graph` — the same path (and the same
-    broadcast-vs-join canon routing) as ``run_kg_pipeline``; a table whose
+    canon joins) as ``run_kg_pipeline``; a table whose
     stage marker exists is not built at all.
     """
     linked_dir = os.path.join(out_dir, "linked")

@@ -111,23 +111,18 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
-def q3_top_orders(sf_dir: str,
-                  broadcast_key_limit: int = 5_000_000) -> pd.DataFrame:
+def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     """Revenue of BUILDING-segment orders. Only the true dimension (customer)
     is driver-resident: its BUILDING key set is broadcast to semi-join the
-    orders STREAM. The qualifying orderkey set then auto-routes by the
-    ORDERS row count (parquet metadata, nothing executes): below
-    ``broadcast_key_limit`` it is collected once, ``ray.put``, and
-    lineitem filters map-side (zero join shuffles); above, orders ⋈
-    lineitem stays a distributed :func:`hash_join` (both facts in the
-    cluster). Either way the per-order revenue sum is the one-shuffle
-    ``partition_map_groups`` plan — orderkeys are O(rows), so map-side
-    pre-agg shrinks only ~the lineitem fan-out and its combine re-shuffles
-    nearly everything (the documented high-cardinality anti-pattern) —
-    with the top-10 cut INSIDE the kernel: only ``partitions x 10`` rows
-    ever reach the driver."""
-    import ray
-
+    orders STREAM. Lineitem ⋈ the qualifying orderkeys is one
+    :func:`hash_join`, which broadcasts the keys while they fit one
+    exchange bucket (lineitem joins map-side, no join shuffle) and
+    exchanges both facts above that. The per-order revenue sum is the
+    one-shuffle ``partition_map_groups`` plan — orderkeys are O(rows), so
+    map-side pre-agg shrinks only ~the lineitem fan-out and its combine
+    re-shuffles nearly everything (the documented high-cardinality
+    anti-pattern) — with the top-10 cut INSIDE the kernel: only
+    ``partitions x 10`` rows ever reach the driver."""
     from ..stages.relational import partition_map_groups, to_arrow
     cust = _read_pdf(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     building = set(cust.loc[cust["c_mktsegment"] == "BUILDING", "c_custkey"])
@@ -138,34 +133,13 @@ def q3_top_orders(sf_dir: str,
     )
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    joined = hash_join(li, orders_f, on=["l_orderkey"])
 
-    if _table_row_count(sf_dir, "orders") <= broadcast_key_limit:
-        # sorted int64 array + np.isin: zero-copy from the object store
-        # per worker and C-speed membership, vs. a pickled Python set
-        # whose object hashing re-runs per batch
-        keys_ref = ray.put(np.sort(
-            orders_f.to_pandas()["l_orderkey"].to_numpy(np.int64)))
-
-        def filter_and_revenue(batch: pd.DataFrame) -> pd.DataFrame:
-            keys = ray.get(keys_ref)
-            mask = np.isin(batch["l_orderkey"].to_numpy(np.int64), keys,
-                           assume_unique=False)
-            b = batch[mask].copy()
-            b["revenue"] = b["l_extendedprice"] * (1.0 - b["l_discount"])
-            return b[["l_orderkey", "revenue"]]
-
-        joined = li.map_batches(filter_and_revenue, batch_format="pandas")
-
-        def revenue_col(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch  # revenue already attached map-side
-    else:
-        joined = hash_join(li, orders_f, on=["l_orderkey"])
-
-        def revenue_col(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["revenue"] = (batch["l_extendedprice"]
-                                * (1.0 - batch["l_discount"]))
-            return batch[["l_orderkey", "revenue"]]
+    def revenue_col(batch: pd.DataFrame) -> pd.DataFrame:
+        batch = batch.copy()
+        batch["revenue"] = (batch["l_extendedprice"]
+                            * (1.0 - batch["l_discount"]))
+        return batch[["l_orderkey", "revenue"]]
 
     def sum_round_top(g: pd.DataFrame) -> pa.Table:
         s = g.groupby("l_orderkey", as_index=False)["revenue"].sum()
@@ -184,19 +158,18 @@ def q3_top_orders(sf_dir: str,
             .head(10).reset_index(drop=True)[["l_orderkey", "revenue"]])
 
 
-def q5_nation_revenue(sf_dir: str,
-                      broadcast_key_limit: int = 5_000_000) -> pd.DataFrame:
+def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
     """Revenue by customer nation. The dimension chain region<-nation<-
     customer is prejoined on the driver (dimensions only) and broadcast to
-    the streaming orders scan; orders ⋈ lineitem is a distributed hash join
-    — the orders fact never touches the driver."""
+    the streaming orders scan; orders ⋈ lineitem is one :func:`hash_join`
+    (a broadcast orderkey -> n_name side while it fits one exchange
+    bucket, both facts exchanged above) — the orders fact never touches
+    the driver."""
     nation = _read_pdf(sf_dir, "nation")
     region = _read_pdf(sf_dir, "region")
     cust = _read_pdf(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey") \
               .merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    import ray
-
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     ords = broadcast_join(
         orders,
@@ -209,38 +182,13 @@ def q5_nation_revenue(sf_dir: str,
     )
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    joined = hash_join(li, ords, on=["l_orderkey"])
 
-    # size-routed (same rule as q3): while the ORDERS row count (parquet
-    # metadata) is broadcast-sized, the orderkey -> n_name map ships once
-    # via ray.put and lineitem attaches it map-side — zero join shuffles
-    # ahead of a 25-key aggregate; above the limit, the distributed join.
-    # (Budget note: a pickled pandas map deserializes PER WORKER — 5M
-    # string entries ~ a few hundred MB per worker, the practical ceiling
-    # for this route; the join route has no such bound.)
-    if _table_row_count(sf_dir, "orders") <= broadcast_key_limit:
-        map_ref = ray.put(ords.to_pandas().set_index("l_orderkey")["n_name"])
-
-        def attach(batch: pd.DataFrame) -> pd.DataFrame:
-            m = ray.get(map_ref)
-            out = pd.DataFrame({
-                "n_name": m.reindex(batch["l_orderkey"]).to_numpy(),
-                "revenue": (batch["l_extendedprice"].to_numpy()
-                            * (1.0 - batch["l_discount"].to_numpy())),
-            })
-            return out[~pd.isna(out["n_name"])]
-
-        joined = li.map_batches(attach, batch_format="pandas")
-
-        def rev(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch
-    else:
-        joined = hash_join(li, ords, on=["l_orderkey"])
-
-        def rev(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["revenue"] = (batch["l_extendedprice"]
-                                * (1.0 - batch["l_discount"]))
-            return batch[["n_name", "revenue"]]
+    def rev(batch: pd.DataFrame) -> pd.DataFrame:
+        batch = batch.copy()
+        batch["revenue"] = (batch["l_extendedprice"]
+                            * (1.0 - batch["l_discount"]))
+        return batch[["n_name", "revenue"]]
 
     agg = preagg_groupby(
         joined.map_batches(rev, batch_format="pandas"),
@@ -250,14 +198,15 @@ def q5_nation_revenue(sf_dir: str,
     return agg.sort_values("n_name").reset_index(drop=True)
 
 
-def q10_returned_revenue(sf_dir: str,
-                         broadcast_key_limit: int = 5_000_000) -> pd.DataFrame:
+def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q10 shape: top-20 customers by revenue lost to returned
     items. Fact side: lineitem filtered to returns at the scan ⋈ orders
-    (distributed hash join), pre-aggregated to one row per customer BEFORE
-    any dimension touch; the customer+nation dimensions then attach to the
-    small aggregate, never to the fact stream. Ranking uses the rounded
-    revenue (round-before-truncate) so ties break identically in SQL."""
+    (one :func:`hash_join`: orders broadcast while they fit one exchange
+    bucket, both facts exchanged above), pre-aggregated to one row per
+    customer BEFORE any dimension touch; the customer+nation dimensions
+    then attach to the small aggregate, never to the fact stream. Ranking
+    uses the rounded revenue (round-before-truncate) so ties break
+    identically in SQL."""
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount",
@@ -269,33 +218,13 @@ def q10_returned_revenue(sf_dir: str,
         s["revenue"] = s["l_extendedprice"] * (1.0 - s["l_discount"])
         return to_arrow(s[["l_orderkey", "revenue"]])
 
-    returns = li.map_batches(returns_only, batch_format="pandas")
-    if _table_row_count(sf_dir, "orders") <= broadcast_key_limit:
-        # size-routed (same rule as q3/q5): broadcast orderkey -> custkey
-        # once, attach map-side, skip the join shuffle entirely
-        import ray
-
-        m_ref = ray.put(
-            orders.to_pandas().set_index("o_orderkey")["o_custkey"])
-
-        def attach_cust(b: pd.DataFrame) -> pd.DataFrame:
-            m = ray.get(m_ref)
-            out = pd.DataFrame({
-                "o_custkey": m.reindex(b["l_orderkey"]).to_numpy(),
-                "revenue": b["revenue"].to_numpy(),
-            })
-            return out[~pd.isna(out["o_custkey"])].astype(
-                {"o_custkey": "int64"})
-
-        joined = returns.map_batches(attach_cust, batch_format="pandas")
-    else:
-        joined = hash_join(
-            returns,
-            orders.map_batches(
-                lambda t: t.rename_columns(["l_orderkey", "o_custkey"]),
-                batch_format="pyarrow"),
-            on=["l_orderkey"],
-        )
+    joined = hash_join(
+        li.map_batches(returns_only, batch_format="pandas"),
+        orders.map_batches(
+            lambda t: t.rename_columns(["l_orderkey", "o_custkey"]),
+            batch_format="pyarrow"),
+        on=["l_orderkey"],
+    )
     per_cust = preagg_groupby(joined, ["o_custkey"],
                               {"revenue": ("revenue", "sum")})
     per_cust["revenue"] = round_half_away(
@@ -2510,7 +2439,7 @@ def docs_cms_top_terms(sf_dir: str,
     return out.reset_index(drop=True)
 
 
-def docs_tfidf_top3(sf_dir: str, broadcast_limit: int = 200_000) -> rd.Dataset:
+def docs_tfidf_top3(sf_dir: str) -> rd.Dataset:
     """Per-document top-3 characteristic terms by TF-IDF
     (``tf * ln(N / df)``) — the corpus-analysis operator behind keyword
     extraction and topical filtering.
@@ -2518,15 +2447,13 @@ def docs_tfidf_top3(sf_dir: str, broadcast_limit: int = 200_000) -> rd.Dataset:
     Plan: one streaming pass builds exact per-doc term frequencies (a doc
     is one row, so the per-batch groupby is complete — no shuffle); the
     document-frequency table is a distributed pre-aggregated combine over
-    those (doc, token) rows. Scoring auto-routes: a vocabulary-sized df
-    table broadcasts via ``ray.put`` into a per-batch vectorized scorer;
-    above ``broadcast_limit`` distinct tokens it becomes a token-hash
-    ``hash_join`` instead (neither side driver-resident). Top-3 per doc is
+    those (doc, token) rows. Scoring is one ``hash_join`` of the tf rows
+    with the df table on the token (a df table that fits one exchange
+    bucket is broadcast, a bigger one exchanged; neither side is
+    driver-resident) and a per-batch vectorized scorer. Top-3 per doc is
     the bounded ``groupwise_head`` quota (rank by rounded score desc, then
     token — float-tie-stable vs the SQL twin)."""
     import pyarrow.dataset as pads
-
-    import ray
 
     from ..stages.relational import groupwise_head, to_arrow
 
@@ -2556,20 +2483,8 @@ def docs_tfidf_top3(sf_dir: str, broadcast_limit: int = 200_000) -> rd.Dataset:
         out["neg"] = -out["tfidf"]
         return out
 
-    if df_ds.count() <= broadcast_limit:
-        df_ref = ray.put(df_ds.to_pandas().set_index("token")["df"])
-
-        def score_bc(batch: pd.DataFrame) -> pa.Table:
-            dfmap = ray.get(df_ref)
-            b = batch.copy()
-            b["df"] = dfmap.reindex(batch["token"]).to_numpy(np.int64)
-            return to_arrow(score(b))
-
-        scored = tf.map_batches(score_bc, batch_format="pandas")
-    else:
-        joined = hash_join(tf, df_ds, on=["token"])
-        scored = joined.map_batches(
-            lambda b: to_arrow(score(b)), batch_format="pandas")
+    scored = hash_join(tf, df_ds, on=["token"]).map_batches(
+        lambda b: to_arrow(score(b)), batch_format="pandas")
 
     top = groupwise_head(scored, "doc_id", ["neg", "token"], 3)
     return top.select_columns(["doc_id", "token", "tfidf"])

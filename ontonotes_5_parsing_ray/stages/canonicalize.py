@@ -20,9 +20,10 @@ semantics, shuffle-aware execution (SURVEY.md §7.1 step 6):
    shortest-then-lexicographic representative
    (``reduce_entities.py:110-115``) — looked up back to norms with one
    join on the id and one exchange on the cluster id;
-6. the resulting ``norm -> canon`` map is applied back either by broadcast
-   (``ray.put`` once, dict lookup per batch — the small-side fast path) or
-   by a hash-partitioned groupby join when the map is too big to broadcast.
+6. the resulting ``norm -> canon`` map is applied back by
+   ``kg.build_graph`` with one left ``relational.hash_join`` per surface
+   column, which broadcasts a map that fits one exchange bucket and
+   exchanges both sides otherwise.
 
 Components and the min-rep rule are order-free, so the result is
 independent of block arrival order (determinism requirement, SURVEY.md §4).
@@ -51,8 +52,7 @@ from ..functions import hashing
 from .dedup import _candidate_pairs, near_dup_clusters
 from .relational import global_row_number, hash_join, partition_map_groups
 
-# Broadcast-vs-shuffle switchover for applying the canon map. Tuned for a
-# 128 GiB-heap driver: ~50M short strings; beyond that, use the groupby join.
+# canon_map_to_dict's fail-stop: the most entries it collects on the driver.
 BROADCAST_LIMIT = 5_000_000
 
 
@@ -150,16 +150,16 @@ def build_canon_map(
 def canon_map_to_dict(
     canon_map: rd.Dataset, limit: int = BROADCAST_LIMIT
 ) -> Dict[str, str]:
-    """Materialize the canon map to a broadcastable dict (small-side path).
-
-    Fail-stops above ``limit`` for direct callers; ``kg.build_graph`` checks
-    the count itself and applies a bigger map with hash-partitioned joins
-    instead of calling this."""
+    """Collect the canon map on the driver as a dict; fail-stops above
+    ``limit`` entries. The pipeline never calls this (``kg.build_graph``
+    joins the map Dataset); an empty map gives ``{}``."""
     n = canon_map.count()
     if n > limit:
         raise ValueError(
             f"canon map has {n} entries > broadcast limit {limit}; "
             "use the hash-partitioned join path"
         )
+    if not n:   # Ray's to_pandas of 0 rows has no columns
+        return {}
     df = canon_map.to_pandas()  # columnar; bounded by the guard above
     return dict(zip(df["norm"], df["canon"]))

@@ -393,17 +393,14 @@ def _dup_members(sig_ds: rd.Dataset) -> Optional[rd.Dataset]:
     :func:`_expand_dup_pairs` driven by this table are together EXACTLY
     output-preserving (see the proof sketch on ``_expand_dup_pairs``).
 
-    Routing: the (already-aggregated, dup-groups-only) group table
-    broadcasts as one pandas merge inside ``map_batches`` when it is small
-    — a distributed hash join here costs an exchange whose fixed cost
-    dwarfs the data at report scales; above the limit the join route
-    takes over unchanged."""
-    import ray
+    The (already-aggregated, dup-groups-only) group table joins back onto
+    the signatures with one :func:`relational.hash_join`, which broadcasts
+    it while it fits one exchange bucket."""
     import pyarrow.compute as pc
 
     from ray.data.aggregate import Count, Min
 
-    from .relational import hash_join, to_arrow
+    from .relational import hash_join
 
     groups = sig_ds.select_columns(["h1", "h2", "doc_id"]).groupby(
         ["h1", "h2"]
@@ -416,15 +413,6 @@ def _dup_members(sig_ds: rd.Dataset) -> Optional[rd.Dataset]:
     ).materialize()
     if groups.count() == 0:
         return None
-    if groups.count() <= PAYLOAD_BROADCAST_LIMIT:
-        gdf_ref = ray.put(groups.to_pandas())
-
-        def attach(batch: pd.DataFrame) -> pa.Table:
-            j = batch.merge(ray.get(gdf_ref), on=["h1", "h2"], how="inner")
-            return to_arrow(j[["rep", "doc_id"]])
-
-        return sig_ds.select_columns(["h1", "h2", "doc_id"]).map_batches(
-            attach, batch_format="pandas")
     members = hash_join(
         sig_ds.select_columns(["h1", "h2", "doc_id"]), groups,
         on=["h1", "h2"],
@@ -927,39 +915,16 @@ def drop_near_dup_docs(
     """Near-dup COLLAPSE: drop every pair's larger id (``doc_b``; pairs are
     a < b, so the smaller id is the kept representative).
 
-    Auto-routed like the verify stage: a small pair set broadcasts the drop
-    ids as a semi-anti filter; above ``PAYLOAD_BROADCAST_LIMIT`` pairs the
-    drop set never touches the driver — a hash-partitioned LEFT join + null
-    filter (distributed anti join) does the subtraction. Both routes keep exactly
-    one row per surviving id (tested equal)."""
-    import pyarrow.compute as pc
-
-    from .relational import broadcast_semi_join, hash_join
-
-    pairs = pairs.materialize()
-    if pairs.count() <= PAYLOAD_BROADCAST_LIMIT:
-        dup_df = pairs.map_batches(
-            lambda t: t.select(["doc_b"]), batch_format="pyarrow"
-        ).to_pandas()
-        dups = (set(dup_df["doc_b"].tolist())
-                if "doc_b" in dup_df.columns else set())
-        return broadcast_semi_join(docs, dups, id_col, anti=True)
-
-    from ray.data.aggregate import Count
+    One left anti :func:`relational.hash_join` of the docs with the
+    pairs' ``doc_b`` ids (broadcast while they fit one exchange bucket,
+    exchanged above; never on the driver) keeps exactly one row per
+    surviving id, however many pairs name a dropped id."""
+    from .relational import hash_join
 
     dup_ids = pairs.map_batches(
-        lambda t: t.select(["doc_b"]), batch_format="pyarrow"
-    ).groupby("doc_b").aggregate(Count(alias_name="n")).map_batches(
-        lambda t: t.select(["doc_b"]).rename_columns([id_col])
-                   .append_column("_dup", pa.array([1] * len(t), pa.int8())),
-        batch_format="pyarrow",
-    )
-    joined = hash_join(docs, dup_ids, on=[id_col], join_type="left_outer")
-    return joined.map_batches(
-        lambda t: t.filter(pc.is_null(t.column("_dup")))
-                   .drop_columns(["_dup"]),
-        batch_format="pyarrow",
-    )
+        lambda t: t.select(["doc_b"]).rename_columns([id_col]),
+        batch_format="pyarrow")
+    return hash_join(docs, dup_ids, on=[id_col], join_type="left_anti")
 
 
 def ngram_jaccard_pairs(
@@ -1204,12 +1169,9 @@ def near_dup_clusters(
     on chained components vs 24 for plain label propagation) over
     zero-padded id labels, so lexicographic min == numeric min and the a<b
     edge invariant carries over from the pair tables. The resulting star
-    forest (root -> member rows) auto-routes onto the docs stream:
-    broadcast dict under ``PAYLOAD_BROADCAST_LIMIT`` members,
-    hash-partitioned left join above it — docs never materialize on the
-    driver."""
-    import ray
-
+    forest (root -> member rows) attaches to the docs stream with one left
+    :func:`relational.hash_join` on the doc id (broadcast while it fits
+    one exchange bucket) — docs never materialize on the driver."""
     from .relational import hash_join
 
     def enc(batch: pa.Table) -> pa.Table:
@@ -1231,34 +1193,18 @@ def near_dup_clusters(
             "cluster_id": pa.array(roots, pa.int64()),
         })
 
-    members = forest.map_batches(dec, batch_format="pyarrow").materialize()
-    docs_ids = docs.select_columns(["doc_id"])
-    if members.count() <= PAYLOAD_BROADCAST_LIMIT:
-        mdf = members.to_pandas()
-        ref = ray.put(dict(zip(mdf["doc_id"], mdf["cluster_id"]))
-                      if len(mdf) and "doc_id" in mdf.columns else {})
-
-        def assign(batch: pd.DataFrame) -> pa.Table:
-            m = ray.get(ref)
-            ids = batch["doc_id"].to_numpy()
-            return pa.table({
-                "doc_id": pa.array(ids, pa.int64()),
-                "cluster_id": pa.array(
-                    batch["doc_id"].map(m).fillna(batch["doc_id"])
-                    .astype("int64").to_numpy(), pa.int64()),
-            })
-
-        return docs_ids.map_batches(assign, batch_format="pandas")
-
-    joined = hash_join(docs_ids, members,
+    joined = hash_join(docs.select_columns(["doc_id"]),
+                       forest.map_batches(dec, batch_format="pyarrow"),
                        on=["doc_id"], join_type="left_outer")
 
     def finish(batch: pd.DataFrame) -> pa.Table:
+        # an empty forest has no schema, so it joins as the key column only
+        root = batch.get("cluster_id", batch["doc_id"])
         return pa.table({
             "doc_id": pa.array(batch["doc_id"].to_numpy(), pa.int64()),
             "cluster_id": pa.array(
-                batch["cluster_id"].fillna(batch["doc_id"])
-                .astype("int64").to_numpy(), pa.int64()),
+                root.fillna(batch["doc_id"]).astype("int64").to_numpy(),
+                pa.int64()),
         })
 
     return joined.map_batches(finish, batch_format="pandas")

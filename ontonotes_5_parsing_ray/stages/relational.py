@@ -5,14 +5,15 @@ These power the TPC-H-ish queries in ``__ray_entry__`` and correspond to the
 reference's lookup/aggregate operators (SURVEY.md J1 broadcast semi-join,
 A1-A4 aggregates, K1 top-k): the small side is materialized once, shipped
 via ``ray.put``, and probed per batch — no shuffle; the wide aggregates
-pre-combine inside ``map_batches`` before the (tiny) final groupby; fact-to-
-fact joins go through :func:`hash_join` (both sides hash-partitioned on the
-key — never materialized to the driver).
+pre-combine inside ``map_batches`` before the (tiny) final groupby; Dataset-
+to-Dataset joins go through :func:`hash_join`, which picks broadcast or
+shuffle itself (:func:`_broadcasts`) and never materializes to the driver.
 
 Every hash exchange in the module is one keyed exchange (:func:`_exchange`)
 whose partition count comes from :func:`exchange_partitions`:
 :func:`partition_map_groups` runs a pandas kernel per partition, and
-:func:`hash_join` runs ``pa.Table.join`` on the two sides of a tagged union.
+:func:`hash_join`, when its build side is too big to broadcast, runs
+``pa.Table.join`` on the two sides of a tagged union.
 The as-of, interval and salted-session operators exchange on key lists
 through :func:`partition_map_groups`.
 """
@@ -27,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from ..functions.rounding import round_half_away
 
@@ -130,7 +132,8 @@ def bloom_semi_join(
 
 
 # One join bucket of the larger side should fit comfortably in a worker
-# heap alongside the build table: 256 MiB target per bucket.
+# heap alongside the build table: 256 MiB target per bucket. A build side
+# this small is broadcast instead (:func:`_broadcasts`).
 TARGET_JOIN_BUCKET_BYTES = 256 << 20
 MAX_AUTO_JOIN_PARTITIONS = 4096
 
@@ -257,6 +260,33 @@ def _join_input(ds: rd.Dataset):
     return ds, _arrow_schema(schema)
 
 
+def _typed_side(side: pa.Table, schema: Optional[pa.Schema],
+                keys: List[str], other: pa.Table,
+                other_keys: List[str]) -> pa.Table:
+    """``side``, or, when it has no columns (no rows reached it), a 0-row
+    table typed by its whole input's ``schema``; a key missing from an
+    unknown schema takes the other side's key type."""
+    if side.num_columns:
+        return side
+    schema = schema or pa.schema([])
+    fields = dict(zip(schema.names, schema.types))
+    for k, ok in zip(keys, other_keys):
+        fields.setdefault(k, other.schema.field(ok).type)
+    return pa.schema(list(fields.items())).empty_table()
+
+
+def _broadcasts(right: rd.Dataset, join_type: str) -> bool:
+    """:func:`hash_join`'s broadcast-or-shuffle choice: a join whose rows
+    each come from one left row (``inner``, ``left_outer``, ``left_anti``)
+    broadcasts a build side whose known size fits one bucket of the
+    exchange (``TARGET_JOIN_BUCKET_BYTES``); any other join, or a side of
+    unknown size, takes the keyed exchange. Tests patch this function to
+    force a route."""
+    size = _known_size_bytes(right)
+    return (join_type in ("inner", "left_outer", "left_anti")
+            and size is not None and size <= TARGET_JOIN_BUCKET_BYTES)
+
+
 def hash_join(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -264,30 +294,56 @@ def hash_join(
     join_type: str = "inner",
     right_on: Optional[Sequence[str]] = None,
 ) -> rd.Dataset:
-    """Distributed hash join: both sides are hash-partitioned on the key into
-    :func:`exchange_partitions` co-located buckets, joined bucket-locally.
+    """Distributed hash join, ``pa.Table.join(keys, right_keys, join_type)``
+    (``inner``, ``left_outer``, ``left_anti``, ``right_outer`` or
+    ``full_outer``) on one of two routes, picked by :func:`_broadcasts`:
 
-    This is the fact-to-fact path (orders ⋈ lineitem): neither side is ever
-    driver-resident. Each side's rows get a ``_side`` tag and side-prefixed
-    column names, and the union takes ONE keyed exchange (:func:`_exchange`:
-    plain tasks, no aggregator actors). Each partition splits back into its
-    two Arrow tables and runs ``pa.Table.join(keys, right_keys, join_type)``
-    (``inner``, ``left_outer``, ``right_outer`` or ``full_outer``). A side
-    with no rows in a partition joins as a 0-row table typed by that side's
-    schema, so an empty block, first or not, never loses a side's columns;
-    a key missing from an unknown schema takes the other side's key type.
-    Equal key values of different numeric dtypes co-locate. Each input runs
-    once: a side whose plan does not know its schema is materialized here
-    (:func:`_join_input`), so callers never materialize for the join.
+    * broadcast: a right (build) side that fits one exchange bucket is
+      materialized at most once and its block refs go to one
+      ``map_batches`` over the left side, which joins each left block
+      against the whole build table. The left side is never materialized,
+      nothing is exchanged and the build side never passes through the
+      driver.
+    * keyed exchange: both sides are hash-partitioned on the key into
+      :func:`exchange_partitions` co-located buckets and joined
+      bucket-locally (the fact-to-fact path, orders ⋈ lineitem). Each
+      side's rows get a ``_side`` tag and side-prefixed column names, and
+      the union takes ONE keyed exchange (:func:`_exchange`: plain tasks,
+      no aggregator actors); each partition splits back into its two
+      Arrow tables. Equal key values of different numeric dtypes
+      co-locate. The partition count scales with either side's size when
+      the plan knows it, so one bucket of the larger side stays under
+      ``TARGET_JOIN_BUCKET_BYTES``. Skewed keys concentrate in one bucket —
+      pre-aggregate, salt or use :func:`skew_join` on a hot key.
 
-    The partition count scales with either side's size when the plan knows
-    it, so one bucket of the larger side stays under
-    ``TARGET_JOIN_BUCKET_BYTES``. Skewed keys concentrate in one bucket —
-    pre-aggregate, salt or use :func:`skew_join` on a hot key.
+    On both routes a side with no rows (in a partition, or a build side
+    with none at all) joins as a 0-row table typed by that side's schema,
+    so an empty block, first or not, never loses a side's columns. Each
+    input runs once: a side whose plan does not know its schema is
+    materialized here (:func:`_join_input`), so callers never materialize
+    for the join.
     """
     keys = [list(on), list(right_on) if right_on is not None else list(on)]
-    left, left_schema = _join_input(left)
+    how = join_type.replace("_", " ")
     right, right_schema = _join_input(right)
+    if _broadcasts(right, join_type):
+        refs = [ref for bundle in right.iter_internal_ref_bundles()
+                for ref, _ in bundle.blocks]
+
+        def probe(t: pa.Table) -> pa.Table:
+            blocks = [BlockAccessor.for_block(b).to_arrow()
+                      for b in ray.get(refs)]
+            blocks = [b for b in blocks if b.num_rows]
+            build = (pa.concat_tables(blocks, promote_options="permissive")
+                     if blocks else pa.table({}))
+            build = _typed_side(build, right_schema, keys[1], t, keys[0])
+            return t.join(build, keys=keys[0], right_keys=keys[1],
+                          join_type=how)
+
+        return left.map_batches(probe, batch_size=None,
+                                batch_format="pyarrow")
+
+    left, left_schema = _join_input(left)
     schemas = [left_schema, right_schema]
     num_partitions = exchange_partitions(left, right)
     prefixes = ["l:", "r:"]
@@ -309,14 +365,10 @@ def hash_join(
                 g.filter(pc.equal(g.column("_side"), side)).select(names)
                 .rename_columns([c[len(prefix):] for c in names]))
         for side, other in ((0, 1), (1, 0)):
-            if not sides[side].num_columns:   # no rows here: type them
-                schema = schemas[side] or pa.schema([])
-                fields = dict(zip(schema.names, schema.types))
-                for k, ok in zip(keys[side], keys[other]):
-                    fields.setdefault(k, sides[other].schema.field(ok).type)
-                sides[side] = pa.schema(list(fields.items())).empty_table()
+            sides[side] = _typed_side(sides[side], schemas[side], keys[side],
+                                      sides[other], keys[other])
         return sides[0].join(sides[1], keys=keys[0], right_keys=keys[1],
-                             join_type=join_type.replace("_", " "))
+                             join_type=how)
 
     tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
         right.map_batches(tag(1), batch_format="pyarrow"))

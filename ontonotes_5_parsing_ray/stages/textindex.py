@@ -172,7 +172,6 @@ def search_bm25(
     k: int = 10,
     k1: float = 1.2,
     b: float = 0.75,
-    broadcast_limit: int = 5_000_000,
 ) -> pd.DataFrame:
     """BM25 ranked retrieval through the inverted index: top-``k`` docs for
     a bag-of-words query (Lucene idf variant,
@@ -180,15 +179,13 @@ def search_bm25(
 
     Only the query tokens' bucket partitions are opened. The matched
     postings (docs containing ANY query token) are pinned once; document
-    frequencies are a |query|-row driver combine over them; the doc-length
-    side auto-routes — ``_doclen`` broadcast via ``ray.put`` below
-    ``broadcast_limit`` docs, a doc-hash ``hash_join`` above it. Scores
+    frequencies are a |query|-row driver combine over them; doc lengths
+    attach with one ``hash_join`` on the doc id (``_doclen`` broadcast
+    while it fits one exchange bucket, exchanged above). Scores
     combine distributed (per-batch partial sums -> one vocabulary
     combine), ranked by (rounded score desc, doc_id) so float ties cut
     deterministically; the driver sees blocks x k rows."""
     import math
-
-    import ray
 
     from ..functions.rounding import round_half_away
     from .relational import distributed_topk, hash_join, preagg_groupby
@@ -242,23 +239,9 @@ def search_bm25(
                               pa.float64()),
         })
 
-    doclen_dir = os.path.join(index_dir, "_doclen")
-    if n_docs <= broadcast_limit:
-        import pyarrow.parquet as pq
-
-        dl_map = ray.put(
-            pq.read_table(doclen_dir).to_pandas().set_index("doc_id")["dl"])
-
-        def attach_dl(h: pd.DataFrame) -> pa.Table:
-            h = h.copy()
-            h["dl"] = ray.get(dl_map).reindex(h["doc_id"]).to_numpy(np.int64)
-            return score_with_dl(h)
-
-        partials = matched.map_batches(attach_dl, batch_format="pandas")
-    else:
-        joined = hash_join(matched, rd.read_parquet(doclen_dir),
-                           on=["doc_id"])
-        partials = joined.map_batches(score_with_dl, batch_format="pandas")
+    partials = hash_join(
+        matched, rd.read_parquet(os.path.join(index_dir, "_doclen")),
+        on=["doc_id"]).map_batches(score_with_dl, batch_format="pandas")
 
     combined = preagg_groupby_ds(
         partials, ["doc_id"], {"score": ("score", "sum")})

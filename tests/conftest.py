@@ -35,6 +35,15 @@ def pin_exchange_partitions(monkeypatch):
     return pin
 
 
+def exchange_joins(mp) -> None:
+    """Every ``hash_join`` takes the keyed exchange: patches its one
+    broadcast-or-shuffle predicate, ``relational._broadcasts``, on the
+    ``monkeypatch`` (or ``monkeypatch.context()``) ``mp``."""
+    from ontonotes_5_parsing_ray.stages import relational
+
+    mp.setattr(relational, "_broadcasts", lambda *args: False)
+
+
 @pytest.fixture(scope="session")
 def tiny_transcripts(ray_session):
     """Deterministic tiny transcript parquet (cached under /tmp)."""

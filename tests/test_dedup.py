@@ -226,12 +226,13 @@ def test_candidate_pairs_distributed_equals_driver(ray_session, monkeypatch):
 
 def test_drop_near_dup_docs_join_route_equals_broadcast(ray_session,
                                                         monkeypatch):
-    """PAYLOAD_BROADCAST_LIMIT=0 forces the distributed anti-join collapse;
-    the surviving id set must equal the broadcast route's."""
+    """The anti join forced onto the keyed exchange (through
+    ``hash_join``'s predicate) keeps the same surviving rows as the
+    broadcast route."""
     import ray.data as rd
 
-    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import drop_near_dup_docs
+    from tests.conftest import exchange_joins
 
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(100), pa.int64()),
@@ -243,7 +244,7 @@ def test_drop_near_dup_docs_join_route_equals_broadcast(ray_session,
     }))
     via_b = drop_near_dup_docs(docs, pairs).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
+    exchange_joins(monkeypatch)
     via_j = drop_near_dup_docs(docs, pairs).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert len(via_b) == 97  # 13, 27, 90 dropped (27 once)
@@ -426,12 +427,13 @@ def test_ngram_jaccard_join_route_equals_broadcast(ray_session, monkeypatch):
 def test_near_dup_clusters_chain_and_routes(ray_session, monkeypatch):
     """A chained component (a-b, b-c, c-d) must collapse transitively to
     one cluster labeled by its min id; singletons label themselves; the
-    forced join route (PAYLOAD_BROADCAST_LIMIT=0) matches the broadcast
-    route; empty pair graphs yield all-singleton output."""
+    forest join forced onto the keyed exchange (through ``hash_join``'s
+    predicate) matches the broadcast route; empty pair graphs yield
+    all-singleton output."""
     import ray.data as rd
 
-    from ontonotes_5_parsing_ray.stages import dedup
     from ontonotes_5_parsing_ray.stages.dedup import near_dup_clusters
+    from tests.conftest import exchange_joins
 
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(10), pa.int64()),
@@ -447,7 +449,7 @@ def test_near_dup_clusters_chain_and_routes(ray_session, monkeypatch):
     assert got == {0: 0, 1: 0, 2: 2, 3: 3, 5: 3, 7: 3, 9: 3,
                    4: 4, 6: 6, 8: 8}
     with monkeypatch.context() as mp:
-        mp.setattr(dedup, "PAYLOAD_BROADCAST_LIMIT", 0)
+        exchange_joins(mp)
         joined = near_dup_clusters(docs, pairs).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(out, joined)

@@ -8,6 +8,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from tests.conftest import exchange_joins
+
 # above 2^53: a float64 round trip would change it
 BIG = (1 << 60) + 1
 
@@ -63,6 +65,7 @@ def _hash_join(join_type: str, right_on: bool = False):
     def case(mp):
         from ontonotes_5_parsing_ray.stages.relational import hash_join
 
+        exchange_joins(mp)
         left, right = _join_sides("rk" if right_on else "k")
         return hash_join(left, right, on=["k"], join_type=join_type,
                          right_on=["rk"] if right_on else None)
@@ -425,15 +428,16 @@ def test_exchange_count_comes_from_the_shared_rule(ray_session, monkeypatch,
 
 @pytest.mark.parametrize("join_type", ["inner", "left_outer", "full_outer"])
 def test_hash_join_equals_pandas_merge(ray_session, pin_exchange_partitions,
-                                       join_type):
-    """``hash_join`` gives a pandas merge's rows at 1 and 7 partitions, on
-    a left input with an empty first block; the left int64 values above
-    2^53 come through exactly (read in Arrow: pandas turns an int column
-    with nulls into float64)."""
+                                       monkeypatch, join_type):
+    """``hash_join``'s keyed exchange gives a pandas merge's rows at 1 and 7
+    partitions, on a left input with an empty first block; the left int64
+    values above 2^53 come through exactly (read in Arrow: pandas turns an
+    int column with nulls into float64)."""
     import ray
 
     from ontonotes_5_parsing_ray.stages.relational import hash_join
 
+    exchange_joins(monkeypatch)
     left, right = _join_sides()
     how = {"inner": "inner", "left_outer": "left",
            "full_outer": "outer"}[join_type]
@@ -480,11 +484,12 @@ def test_exchange_size_reaches_the_read(ray_session, monkeypatch):
 
 
 def test_chained_hash_joins_run_each_input_once(ray_session, tmp_path,
-                                                pin_exchange_partitions):
-    """Two chained ``hash_join`` calls, the second fed by a keyed exchange
-    over the first: the upstream map kernel and the exchange kernel each
-    see every row once (reading a lazy side's schema must not run it
-    before the join does)."""
+                                                pin_exchange_partitions,
+                                                monkeypatch):
+    """Two chained ``hash_join`` calls on the keyed exchange, the second fed
+    by a keyed exchange over the first: the upstream map kernel and the
+    exchange kernel each see every row once (reading a lazy side's schema
+    must not run it before the join does)."""
     import uuid
 
     import ray.data as rd
@@ -512,6 +517,7 @@ def test_chained_hash_joins_run_each_input_once(ray_session, tmp_path,
                       for k in f.read_text().split())
 
     pin_exchange_partitions(7)
+    exchange_joins(monkeypatch)
     keys = pa.array(np.arange(60), pa.int64())
     left = rd.from_arrow([pa.table({"k": keys.slice(i, 10)})
                           for i in range(0, 60, 10)]) \
@@ -524,3 +530,144 @@ def test_chained_hash_joins_run_each_input_once(ray_session, tmp_path,
     assert (out["b"] == 3 * out["k"]).all()
     assert seen("map") == list(range(60))
     assert seen("exchange") == list(range(60))
+
+
+def _route_sides(case: str):
+    """``(left, right, right_on)`` for one edge case of
+    :func:`test_hash_join_routes_agree`."""
+    import ray.data as rd
+
+    if case == "empty_first_left_block":
+        return (*_join_sides(), None)
+    if case == "right_on":
+        return (*_join_sides("rk"), ["rk"])
+    left, _ = _join_sides()
+    if case == "empty_right":
+        right = pa.table({"k": pa.array([], pa.int64()),
+                          "rv": pa.array([], pa.float64())})
+        return left, rd.from_arrow(right), None
+    if case == "duplicate_right_keys":
+        right = pa.table({"k": pa.array([3, 3, 21, 21, 21, 39], pa.int64()),
+                          "rv": pa.array([0.5, 1.5, 2.5, 3.5, 4.5, 5.5])})
+        return left, rd.from_arrow([right.slice(0, 3), right.slice(3)]), None
+    # keys above 2^53: BIG + 1 and BIG + 2 are one float64
+    lk = pa.array(BIG + np.arange(40) % 8, pa.int64())
+    left = rd.from_arrow([pa.table({"k": lk.slice(i, 10),
+                                    "lv": pa.array(np.arange(i, i + 10))})
+                          for i in range(0, 40, 10)])
+    right = pa.table({"k": pa.array(BIG + np.array([1, 2, 2, 5, 9]),
+                                    pa.int64()),
+                      "rv": pa.array([1.0, 2.0, 3.0, 4.0, 5.0])})
+    return left, rd.from_arrow(right), None
+
+
+@pytest.mark.parametrize("case", [
+    "empty_right", "empty_first_left_block", "right_on",
+    "duplicate_right_keys", "keys_above_2_53"])
+@pytest.mark.parametrize("join_type", ["inner", "left_outer"])
+def test_hash_join_routes_agree(ray_session, monkeypatch, join_type, case):
+    """``hash_join``'s broadcast route (the default for these small build
+    sides) and its keyed exchange (forced through the predicate) give a
+    pandas merge's rows with the same columns; int64 keys and values
+    above 2^53 come through exactly."""
+    import ray
+
+    from ontonotes_5_parsing_ray.stages import relational
+
+    left, right, right_on = _route_sides(case)
+    ldf, rdf = (pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas()
+                for ds in (left, right))
+    how = {"inner": "inner", "left_outer": "left"}[join_type]
+    want = ldf.merge(rdf, left_on="k", right_on=(right_on or ["k"])[0],
+                     how=how).drop(columns=right_on or [])
+    routes = []
+    for exchange in (False, True):
+        with monkeypatch.context() as mp:
+            calls = []
+            real = relational._exchange
+            mp.setattr(relational, "_exchange",
+                       lambda *a, **k: calls.append(1) or real(*a, **k))
+            if exchange:
+                exchange_joins(mp)
+            out = relational.hash_join(left, right, on=["k"],
+                                       join_type=join_type,
+                                       right_on=right_on)
+            assert len(calls) == exchange
+            tables = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+        assert sum(t.num_rows for t in tables) == len(want)
+        if not len(want):
+            continue
+        got = pa.concat_tables(tables)
+        assert got.column_names == list(want.columns)
+        for col in ("k", "lv"):   # exact, read in Arrow
+            assert sorted(got.column(col).to_pylist()) == \
+                sorted(int(v) for v in want[col])
+        routes.append(_sorted_frame(got.to_pandas()))
+        pd.testing.assert_frame_equal(routes[-1], _sorted_frame(want),
+                                      check_dtype=False)
+    if routes:
+        pd.testing.assert_frame_equal(routes[0], routes[1])
+
+
+def test_hash_join_broadcast_route_runs_each_side_once(ray_session, tmp_path,
+                                                       monkeypatch):
+    """On the broadcast route ``hash_join`` builds no keyed exchange, never
+    materializes the left side, and materializes an unmaterialized right
+    side exactly once: a spy on ``Dataset.materialize`` and the row logs of
+    both sides' upstream map kernels."""
+    import uuid
+
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from ontonotes_5_parsing_ray.stages import relational
+
+    def logged(name: str):
+        def fn(t: pa.Table) -> pa.Table:
+            (tmp_path / f"{name}-{uuid.uuid4().hex}").write_text(
+                " ".join(str(k) for k in t.column("k").to_pylist()))
+            return t
+        return fn
+
+    def seen(name: str) -> list:
+        return sorted(int(k) for f in tmp_path.glob(f"{name}-*")
+                      for k in f.read_text().split())
+
+    keys = pa.array(np.arange(60), pa.int64())
+    left = rd.from_arrow([pa.table({"k": keys.slice(i, 10)})
+                          for i in range(0, 60, 10)]) \
+        .map_batches(logged("left"), batch_format="pyarrow")
+    right = rd.from_arrow([pa.table({"k": keys.slice(i, 20),
+                                     "a": pc.multiply(keys.slice(i, 20), 2)})
+                           for i in range(0, 60, 20)]) \
+        .map_batches(logged("right"), batch_format="pyarrow")
+    exchanges, materialized, starts = [], [], []
+    real_exchange = relational._exchange
+    real_materialize = rd.Dataset.materialize
+    real_init = StreamingExecutor.__init__
+
+    def materialize(self):
+        materialized.append(self)
+        return real_materialize(self)
+
+    def init(self, *args, **kwargs):
+        starts.append(1)
+        return real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(relational, "_exchange",
+                        lambda *a, **k: exchanges.append(1)
+                        or real_exchange(*a, **k))
+    monkeypatch.setattr(rd.Dataset, "materialize", materialize)
+    monkeypatch.setattr(StreamingExecutor, "__init__", init)
+    out = relational.hash_join(left, right, on=["k"])
+    assert (len(starts), seen("left"), seen("right")) == (1, [], list(range(60)))
+    assert materialized and materialized[0] is right
+    assert all(ds is not left for ds in materialized)
+    df = out.to_pandas()
+    assert sorted(df["k"]) == list(range(60))
+    assert (df["a"] == 2 * df["k"]).all()
+    assert exchanges == []
+    assert seen("left") == list(range(60)) and seen("right") == list(range(60))
+    assert len(starts) == 2

@@ -3,6 +3,8 @@ triple P/R >= 0.95; expected exactly 1.0 because both share the kernels).
 Run with ``python -m pytest -x -q``.
 """
 
+import pytest
+
 from ontonotes_5_parsing_ray.oracle.kg import precision_recall, triple_set
 
 
@@ -87,9 +89,9 @@ def test_node_provenance_first_seen_ts_and_lang(kg_result, tiny_table):
 
 
 def test_canonicalize_triples_join_equals_broadcast(ray_session, tiny_transcripts):
-    """Canon application with the map as a Dataset (the hash-partitioned
-    join route, for maps too big to broadcast) must equal the broadcast-dict
-    route row for row, with the same columns in the same order."""
+    """Canon application with the map as a Dataset must equal it with the
+    map as the dict ``ObjectRef`` the benchmark passes, row for row, with
+    the same columns in the same order."""
     import pandas as pd
     import ray
 
@@ -168,12 +170,27 @@ def _assert_tables_equal(want, got):
 
 
 def _count_hash_joins(monkeypatch):
+    """kg's ``hash_join`` calls, each logged as the number of keyed
+    exchanges (``relational._exchange``) it built: 0 on the broadcast
+    route, 1 on the exchange route."""
     from ontonotes_5_parsing_ray.pipelines import kg
+    from ontonotes_5_parsing_ray.stages import relational
 
-    joins = []
-    real_join = kg.hash_join
-    monkeypatch.setattr(kg, "hash_join",
-                        lambda *a, **k: joins.append(1) or real_join(*a, **k))
+    joins, exchanges = [], []
+    real_join, real_exchange = kg.hash_join, relational._exchange
+
+    def exchange(*args, **kwargs):
+        exchanges.append(1)
+        return real_exchange(*args, **kwargs)
+
+    def join(*args, **kwargs):
+        before = len(exchanges)
+        out = real_join(*args, **kwargs)
+        joins.append(len(exchanges) - before)
+        return out
+
+    monkeypatch.setattr(relational, "_exchange", exchange)
+    monkeypatch.setattr(kg, "hash_join", join)
     return joins
 
 
@@ -191,32 +208,32 @@ def _materialized(tiny_transcripts, out_dir):
 def test_full_pipeline_auto_routes_join_canon_apply(ray_session, kg_result,
                                                     tiny_transcripts,
                                                     monkeypatch):
-    """BROADCAST_LIMIT=0 forces the join-route canon APPLICATION through the
-    full pipeline (triples AND nodes AND edges) — the output must equal the
-    broadcast route's exactly."""
+    """Canon APPLICATION forced onto the keyed exchange (through
+    ``hash_join``'s predicate) in the full pipeline (triples AND nodes AND
+    edges) — the output must equal the broadcast route's exactly."""
     from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
-    from ontonotes_5_parsing_ray.stages import canonicalize
+    from tests.conftest import exchange_joins
 
     joins = _count_hash_joins(monkeypatch)
-    monkeypatch.setattr(canonicalize, "BROADCAST_LIMIT", 0)
+    exchange_joins(monkeypatch)
     joined = {name: ds.to_pandas() for name, ds in
               run_kg_pipeline(tiny_transcripts, concurrency=2).items()}
-    # (subj, obj, mention surface) lookups
-    assert len(joins) == 3
+    # (subj, obj, mention surface) lookups, each one exchange
+    assert joins == [1, 1, 1]
     _assert_tables_equal(kg_result, joined)
 
 
 def test_materialize_auto_routes_join_canon_apply(ray_session, kg_result,
                                                   tiny_transcripts, tmp_path,
                                                   monkeypatch):
-    """materialize_kg with BROADCAST_LIMIT=0 (join route) writes the same
-    graph tables as the default broadcast route."""
-    from ontonotes_5_parsing_ray.stages import canonicalize
+    """materialize_kg with the canon joins forced onto the keyed exchange
+    writes the same graph tables as the default broadcast route."""
+    from tests.conftest import exchange_joins
 
     joins = _count_hash_joins(monkeypatch)
-    monkeypatch.setattr(canonicalize, "BROADCAST_LIMIT", 0)
+    exchange_joins(monkeypatch)
     written = _materialized(tiny_transcripts, str(tmp_path / "join"))
-    assert len(joins) == 3
+    assert joins == [1, 1, 1]
     _assert_tables_equal(kg_result, written)
 
 
@@ -224,17 +241,46 @@ def test_entry_points_agree_on_broadcast_route(ray_session, kg_result,
                                                tiny_transcripts, tmp_path,
                                                monkeypatch):
     """run_kg_pipeline and materialize_kg share build_graph: on the default
-    broadcast route neither uses the hash join, and both produce the default
-    build's triples / nodes / edges / errors exactly."""
+    route neither canon join builds a keyed exchange (the map is broadcast),
+    and both produce the default build's triples / nodes / edges / errors
+    exactly."""
     from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
 
     joins = _count_hash_joins(monkeypatch)
     built = {name: ds.to_pandas() for name, ds in
              run_kg_pipeline(tiny_transcripts, concurrency=2).items()}
     written = _materialized(tiny_transcripts, str(tmp_path / "bcast"))
-    assert joins == []
+    assert joins == [0] * 6
     _assert_tables_equal(kg_result, built)
     _assert_tables_equal(kg_result, written)
+
+
+def test_kg_pipeline_execution_count(ray_session, tiny_transcripts,
+                                     monkeypatch):
+    """``run_kg_pipeline`` plus consuming its triples, edges, nodes and
+    errors starts 8 Ray Data executions on the tiny fixture (a spy on
+    ``StreamingExecutor.__init__``): 4 to build, 4 to consume. Canon
+    application adds none: its joins broadcast the materialized map."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+
+    starts = []
+    real_init = StreamingExecutor.__init__
+
+    def init(self, *args, **kwargs):
+        starts.append(1)
+        return real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "__init__", init)
+    out = run_kg_pipeline(tiny_transcripts, concurrency=2)
+    built = len(starts)
+    rows = {name: len(out[name].to_pandas())
+            for name in ("triples", "edges", "nodes", "errors")}
+    assert all(rows.values()), rows
+    assert (built, len(starts)) == (4, 8)
 
 
 def test_surface_forms_capped_topn(ray_session):
@@ -442,3 +488,52 @@ def test_corpus_without_entities_gives_typed_empty_tables(ray_session,
     before = stamps()
     assert materialize_kg(src, out, num_partitions=2, concurrency=2) == paths
     assert stamps() == before
+
+
+@pytest.mark.parametrize("texts", [
+    ["he said it .", "she saw him ."],
+    ["", "   ", "[CLS] [SEP]"],
+], ids=["pronouns_only", "dead_letters_only"])
+def test_linked_rows_without_entity_surfaces_match_oracle(
+        ray_session, kg_result, tmp_path, texts):
+    """Linked rows but no entity surface, so the canon map is empty
+    (pronoun mentions only; dead letters only): both entry points finish,
+    every table has the columns of a normal build, and its rows equal
+    the single-process oracle's."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from ontonotes_5_parsing_ray.oracle.kg import extract_kg_single_process
+    from ontonotes_5_parsing_ray.pipelines.kg import run_kg_pipeline
+    from ontonotes_5_parsing_ray.pipelines.materialize import materialize_kg
+
+    table = pa.table({
+        "conv_id": ["c0"] * len(texts),
+        "turn_idx": pa.array(range(len(texts)), pa.int64()),
+        "role": ["user"] * len(texts),
+        "text": texts,
+    })
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(table, src)
+    want = extract_kg_single_process(table)
+    keys = {"mentions": ["conv_id", "turn_idx", "start"],
+            "errors": ["conv_id", "turn_idx"]}
+
+    built = run_kg_pipeline(src, concurrency=2)
+    paths = materialize_kg(src, str(tmp_path / "kg"), num_partitions=2,
+                           concurrency=2)
+    for name in ("mentions", "triples", "nodes", "edges", "errors"):
+        for ds in (built[name], rd.read_parquet(paths[name])):
+            assert ds.schema().names == list(kg_result[name].columns), name
+            got, exp = ds.to_pandas(), want[name]
+            assert len(got) == len(exp), name
+            if len(exp):
+                if name == "mentions":   # the pipeline writes "" for none
+                    exp = exp.assign(antecedent=exp["antecedent"].fillna(""))
+                cols = list(exp.columns)
+                pd.testing.assert_frame_equal(
+                    got[cols].sort_values(keys[name]).reset_index(drop=True),
+                    exp[cols].sort_values(keys[name]).reset_index(drop=True),
+                    check_dtype=False)

@@ -855,9 +855,10 @@ def test_inverted_index_search_modes(ray_session, tmp_path):
         assert got == brute(toks, mode), (toks, mode)
 
 
-def test_bm25_matches_numpy_reference(ray_session, tmp_path):
-    """search_bm25 == a numpy BM25 reference (Lucene idf), on both the
-    doc-length broadcast route and the forced hash-join route."""
+def test_bm25_matches_numpy_reference(ray_session, tmp_path, monkeypatch):
+    """search_bm25 == a numpy BM25 reference (Lucene idf), on both routes
+    of its doc-length ``hash_join``: broadcast, and the keyed exchange
+    forced through the join's predicate."""
     import math
 
     import pandas as pd
@@ -868,6 +869,7 @@ def test_bm25_matches_numpy_reference(ray_session, tmp_path):
         build_inverted_index,
         search_bm25,
     )
+    from tests.conftest import exchange_joins
 
     texts = [
         "red green blue red", "red red green", "blue yellow",
@@ -895,10 +897,13 @@ def test_bm25_matches_numpy_reference(ray_session, tmp_path):
     want = sorted(((round(s, 6), i) for i, s in expect.items()),
                   key=lambda p: (-p[0], p[1]))[:5]
 
-    for limit in (5_000_000, 0):   # broadcast route, then forced join route
-        got = search_bm25(idx, toks, k=5, broadcast_limit=limit)
+    for exchange in (False, True):   # broadcast route, then the exchange
+        with monkeypatch.context() as mp:
+            if exchange:
+                exchange_joins(mp)
+            got = search_bm25(idx, toks, k=5)
         assert [(round(s, 6), i) for s, i in
-                zip(got["score"], got["doc_id"])] == want, limit
+                zip(got["score"], got["doc_id"])] == want, exchange
 
 
 def test_pagerank_routes_match_numpy(ray_session, monkeypatch):

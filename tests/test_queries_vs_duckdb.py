@@ -117,14 +117,17 @@ def test_query_matches_duckdb_oracle(ray_session, duck, name):
     pd.testing.assert_frame_equal(mine, oracle, check_dtype=False)
 
 
-def test_tfidf_join_route_equals_broadcast(ray_session):
-    """docs_tfidf_top3's distributed hash-join scoring route (df table too
-    big to broadcast) returns exactly the broadcast fast path's rows."""
+def test_tfidf_join_route_equals_broadcast(ray_session, monkeypatch):
+    """docs_tfidf_top3's scoring join on the keyed exchange (forced through
+    ``hash_join``'s predicate, as for a df table too big to broadcast)
+    returns exactly the broadcast route's rows."""
     from ontonotes_5_parsing_ray.pipelines import queries as q
+    from tests.conftest import exchange_joins
 
     a = q.docs_tfidf_top3(SF_DIR).to_pandas() \
         .sort_values(["doc_id", "token"]).reset_index(drop=True)
-    b = q.docs_tfidf_top3(SF_DIR, broadcast_limit=0).to_pandas() \
+    exchange_joins(monkeypatch)
+    b = q.docs_tfidf_top3(SF_DIR).to_pandas() \
         .sort_values(["doc_id", "token"]).reset_index(drop=True)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
@@ -143,14 +146,15 @@ def test_every_query_has_an_oracle_or_rationale():
     assert all(n.startswith("kg_") for n in rows_only), rows_only
 
 
-def test_size_routed_fact_joins_route_parity(ray_session):
-    """q3/q5/q10's broadcast-key fast path == the forced distributed-join
-    route (broadcast_key_limit=0), row for row."""
-    from tests.conftest import SF_DIR
+def test_size_routed_fact_joins_route_parity(ray_session, monkeypatch):
+    """q3/q5/q10's orders ⋈ lineitem on the broadcast route == the same
+    ``hash_join`` forced onto the keyed exchange, row for row."""
+    from tests.conftest import SF_DIR, exchange_joins
 
     from ontonotes_5_parsing_ray.pipelines import queries as q
 
-    for fn in (q.q3_top_orders, q.q5_nation_revenue, q.q10_returned_revenue):
-        a = fn(SF_DIR).reset_index(drop=True)
-        b = fn(SF_DIR, broadcast_key_limit=0).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
+    fns = (q.q3_top_orders, q.q5_nation_revenue, q.q10_returned_revenue)
+    broadcast = [fn(SF_DIR).reset_index(drop=True) for fn in fns]
+    exchange_joins(monkeypatch)
+    for fn, a in zip(fns, broadcast):
+        pd.testing.assert_frame_equal(a, fn(SF_DIR).reset_index(drop=True))
